@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-parallel bench-pr3 bench-pr5 bench-pr6 bench-qps bench-pr8 bench-cluster bench-pr10 bench-suite-log test-telemetry test-segment test-frontdoor test-planner test-cluster test-json test-ingest fuzz soak soak-cluster ci run-serve-autopilot
+.PHONY: all build test race vet bench bench-compare bench-parallel bench-pr3 bench-pr5 bench-pr6 bench-qps bench-pr8 bench-cluster bench-pr10 bench-suite-log test-telemetry test-segment test-frontdoor test-planner test-cluster test-json test-ingest fuzz soak soak-cluster ci run-serve-autopilot
 
 all: build test
 
@@ -23,11 +23,19 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench regenerates the paper's tables/figures plus the parallel QPS
-# suite, and refreshes BENCH_PR3.json; see EXPERIMENTS.md for recorded
-# results.
-bench: bench-pr3
-	$(GO) test -bench . -benchmem ./...
+# bench runs the repository's benchmark (BENCHMARK.json, benchmark/): all
+# four workloads, every end-to-end metric, the checker. BENCH_ARGS passes
+# flags through, e.g. BENCH_ARGS='-trace' for the per-layer metrics or
+# BENCH_ARGS='-out after.json' to record a run for bench-compare. The `go
+# test -bench` sweep is bench-suite-log.
+bench:
+	$(GO) run ./benchmark -workload all $(BENCH_ARGS)
+
+# bench-compare prints two recorded runs side by side, metric by metric,
+# against the bounds in BENCHMARK.json:
+#   make bench-compare BEFORE=before.json AFTER=after.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(BEFORE) $(AFTER)
 
 # bench-parallel runs just the concurrency-scaling benchmarks (aggregate
 # QPS + cache hit ratio) at several GOMAXPROCS values.

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Pos is a term position: a (document, byte offset) pair. Positions order
@@ -121,8 +122,11 @@ func decodeElementsValue(v []byte) (uint32, error) {
 // termPrefix encodes the token with a 0x00 terminator. Tokens are
 // lowercase alphanumeric (see xmlscan.Tokenize), so the terminator cannot
 // collide, and the encoding is prefix-free and order-preserving.
-func termPrefix(term string) []byte {
-	out := make([]byte, 0, len(term)+1)
+func termPrefix(term string) []byte { return termKey(term, 0) }
+
+// termKey is termPrefix with capacity for a key tail of n more bytes.
+func termKey(term string, n int) []byte {
+	out := make([]byte, 0, len(term)+1+n)
 	out = append(out, term...)
 	out = append(out, 0)
 	return out
@@ -142,83 +146,231 @@ func splitTermPrefix(k []byte) (string, []byte, error) {
 // fragment), value = packed positions ---
 
 func postingKey(term string, first Pos) []byte {
-	k := termPrefix(term)
 	var tail [8]byte
+	k := termKey(term, len(tail))
 	binary.BigEndian.PutUint32(tail[0:4], first.Doc)
 	binary.BigEndian.PutUint32(tail[4:8], first.Off)
 	return append(k, tail[:]...)
 }
 
-// maxPostingsPerFragment bounds positions per fragment. With delta-varint
-// encoding the worst case (~10 bytes/position for pathological gaps)
-// stays under the storage value limit.
+// maxPostingsPerFragment bounds positions per fragment. The worst case —
+// every body entry a document switch with 5-byte varints, 10 bytes an
+// entry like the 7 checkpoints — is 2,563 bytes, under
+// storage.MaxValueSize.
 const maxPostingsPerFragment = 256
 
-// Posting value format tags. v1 (fixed 8-byte pairs) is still decoded for
-// backward compatibility; new fragments are written as v2 (delta-varint).
+// Posting value format tags. Fragments are written as postingFormatSkip;
+// postingFormatDelta is what earlier versions wrote and stays readable.
 const (
-	postingFormatFixed = 0x01
 	postingFormatDelta = 0x02
+	postingFormatSkip  = 0x03
 )
 
-// postingValue encodes positions with the delta-varint format: positions
-// are sorted, so consecutive entries in the same document store only the
-// offset gap, and document changes store a doc delta plus an absolute
-// offset. Typical English-text gaps fit in one or two bytes — the
-// compression that keeps the PostingLists table (the dominant base-index
-// cost, Section 5.1) manageable.
+// A postingFormatSkip fragment of n positions:
+//
+//	[0]    0x03
+//	[1:3]  n, big-endian
+//	[3:]   c = (n-1)/32 checkpoints of 10 bytes: entries 32, 64, ... as
+//	       doc (4) · off (4) · body offset where the next entry starts (2)
+//	body   the other n-c entries, positions ascending:
+//	       entry 0:         uvarint(doc) uvarint(off)
+//	       same document:   uvarint(gap<<1)
+//	       document switch: uvarint(docDelta<<1|1) uvarint(off)
+//
+// Entry 0 is always a switch, so it carries no flag bit: shifting an
+// absolute document id would cost a byte in every fragment whose first
+// document is 8,192 or later. Every 32nd entry is stored
+// in the checkpoint table and nowhere else, absolute, with the place in
+// the body where decoding resumes after it, so a reader can start at any
+// checkpoint and a rank query walks at most checkpointInterval entries.
+const (
+	checkpointInterval = 32
+	checkpointSize     = 10
+	postingHeaderSize  = 3
+)
+
+// postingValue encodes sorted positions as a postingFormatSkip fragment.
+// Typical English-text gaps fit in one or two bytes — the compression
+// that keeps the PostingLists table (the dominant base-index cost,
+// Section 5.1) manageable.
 func postingValue(positions []Pos) []byte {
-	out := make([]byte, 0, 3+2*len(positions))
-	out = append(out, postingFormatDelta)
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(positions)))
-	out = append(out, lenBuf[:]...)
+	n := len(positions)
+	body := postingHeaderSize + (n-1)/checkpointInterval*checkpointSize
+	out := make([]byte, body, body+2*n+8)
+	out[0] = postingFormatSkip
+	binary.BigEndian.PutUint16(out[1:3], uint16(n))
 	var prev Pos
-	first := true
-	for _, p := range positions {
-		if first || p.Doc != prev.Doc {
-			docDelta := p.Doc
-			if !first {
-				docDelta = p.Doc - prev.Doc
-			}
-			// docDelta > 0 marks a document switch (or the first entry,
-			// where the absolute doc id is stored with the +1 shift).
-			out = binary.AppendUvarint(out, uint64(docDelta)+1)
+	for i, p := range positions {
+		switch {
+		case i > 0 && i%checkpointInterval == 0:
+			c := out[postingHeaderSize+(i/checkpointInterval-1)*checkpointSize:]
+			binary.BigEndian.PutUint32(c[0:4], p.Doc)
+			binary.BigEndian.PutUint32(c[4:8], p.Off)
+			binary.BigEndian.PutUint16(c[8:10], uint16(len(out)-body))
+		case i == 0:
+			out = binary.AppendUvarint(out, uint64(p.Doc))
 			out = binary.AppendUvarint(out, uint64(p.Off))
-		} else {
-			// Same document: a 0 sentinel then the offset gap.
-			out = binary.AppendUvarint(out, 0)
-			out = binary.AppendUvarint(out, uint64(p.Off-prev.Off))
+		case p.Doc != prev.Doc:
+			out = binary.AppendUvarint(out, uint64(p.Doc-prev.Doc)<<1|1)
+			out = binary.AppendUvarint(out, uint64(p.Off))
+		default:
+			out = binary.AppendUvarint(out, uint64(p.Off-prev.Off)<<1)
 		}
 		prev = p
-		first = false
 	}
 	return out
 }
 
-func decodePostingValue(v []byte) ([]Pos, error) {
-	if len(v) < 3 {
+// fragReader steps through one postingFormatSkip fragment in place. It is
+// the only decoder of the format: the sequential decode, the posting
+// iterator and the span probe all read entries through next.
+type fragReader struct {
+	ckpt []byte // checkpoint table
+	body []byte // the entries not in the table
+	n    int    // entries in the fragment
+	i    int    // entries consumed
+	off  int    // body offset where decoding continues
+	prev Pos    // entry i-1 (zero before the first)
+}
+
+// openFragment checks the header and checkpoint table of a
+// postingFormatSkip value: the table must fit, and its positions and body
+// offsets must ascend inside the body, so jump can trust any of them.
+func openFragment(v []byte) (fragReader, error) {
+	if len(v) < postingHeaderSize || v[0] != postingFormatSkip {
+		return fragReader{}, fmt.Errorf("index: not a skip-format posting value")
+	}
+	n := int(binary.BigEndian.Uint16(v[1:3]))
+	c := (n - 1) / checkpointInterval
+	body := postingHeaderSize + c*checkpointSize
+	if len(v)-body < n-c {
+		return fragReader{}, fmt.Errorf("index: posting value of %d bytes cannot hold %d entries", len(v), n)
+	}
+	r := fragReader{ckpt: v[postingHeaderSize:body], body: v[body:], n: n}
+	var prev Pos
+	prevOff := 0
+	for j := 0; j < c; j++ {
+		p, off := r.checkpoint(j)
+		if p.Less(prev) || off <= prevOff || off > len(r.body) {
+			return fragReader{}, fmt.Errorf("index: posting checkpoint %d out of order", j)
+		}
+		prev, prevOff = p, off
+	}
+	return r, nil
+}
+
+// checkpoint returns checkpoint c: entry (c+1)*32 and the body offset
+// where the entry after it starts.
+func (r *fragReader) checkpoint(c int) (Pos, int) {
+	b := r.ckpt[c*checkpointSize:]
+	return Pos{Doc: binary.BigEndian.Uint32(b[0:4]), Off: binary.BigEndian.Uint32(b[4:8])},
+		int(binary.BigEndian.Uint16(b[8:10]))
+}
+
+// next decodes entry i. Callers check r.i < r.n first.
+func (r *fragReader) next() (Pos, error) {
+	if r.i > 0 && r.i%checkpointInterval == 0 {
+		p, off := r.checkpoint(r.i/checkpointInterval - 1)
+		if off != r.off || p.Less(r.prev) {
+			return Pos{}, fmt.Errorf("index: posting checkpoint disagrees with the entries before entry %d", r.i)
+		}
+		r.prev = p
+		r.i++
+		return p, nil
+	}
+	x, k := binary.Uvarint(r.body[r.off:])
+	if k <= 0 {
+		return Pos{}, fmt.Errorf("index: truncated posting entry %d", r.i)
+	}
+	r.off += k
+	delta, isSwitch := x>>1, x&1 == 1
+	if r.i == 0 {
+		delta, isSwitch = x, true
+	}
+	if !isSwitch {
+		off := uint64(r.prev.Off) + delta
+		if off > math.MaxUint32 {
+			return Pos{}, fmt.Errorf("index: bad same-document posting entry %d", r.i)
+		}
+		r.prev.Off = uint32(off)
+	} else {
+		doc := uint64(r.prev.Doc) + delta
+		off, k := binary.Uvarint(r.body[r.off:])
+		if k <= 0 {
+			return Pos{}, fmt.Errorf("index: truncated posting offset at entry %d", r.i)
+		}
+		if (delta == 0 && r.i > 0) || doc > math.MaxUint32 || off > math.MaxUint32 {
+			return Pos{}, fmt.Errorf("index: bad document-switch posting entry %d", r.i)
+		}
+		r.off += k
+		r.prev = Pos{Doc: uint32(doc), Off: uint32(off)}
+	}
+	r.i++
+	return r.prev, nil
+}
+
+// jump moves past the last checkpointed entry whose position is below p,
+// when that entry is still ahead, and returns how many entries it skipped
+// (all of them below p).
+func (r *fragReader) jump(p Pos) int {
+	lo, hi := 0, len(r.ckpt)/checkpointSize
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if q, _ := r.checkpoint(mid); q.Less(p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	i := lo*checkpointInterval + 1
+	if lo == 0 || i <= r.i {
+		return 0
+	}
+	skipped := i - r.i
+	r.prev, r.off = r.checkpoint(lo - 1)
+	r.i = i
+	return skipped
+}
+
+// decodePostingInto appends the positions of a fragment of either format
+// to dst. It reads every entry, so beyond what openFragment and next
+// reject it requires that no byte follows the last one.
+func decodePostingInto(dst []Pos, v []byte) ([]Pos, error) {
+	if len(v) < postingHeaderSize {
 		return nil, fmt.Errorf("index: short posting value")
 	}
 	switch v[0] {
+	case postingFormatSkip:
+		r, err := openFragment(v)
+		if err != nil {
+			return nil, err
+		}
+		dst = slices.Grow(dst, r.n)
+		for r.i < r.n {
+			p, err := r.next()
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, p)
+		}
+		if r.off != len(r.body) {
+			return nil, fmt.Errorf("index: %d trailing bytes in posting value", len(r.body)-r.off)
+		}
+		return dst, nil
 	case postingFormatDelta:
-		return decodePostingDelta(v[1:])
-	case postingFormatFixed:
-		return decodePostingFixed(v[1:])
+		return decodePostingDelta(dst, v[1:])
 	default:
 		return nil, fmt.Errorf("index: unknown posting format 0x%02x", v[0])
 	}
 }
 
-func decodePostingDelta(v []byte) ([]Pos, error) {
-	if len(v) < 2 {
-		return nil, fmt.Errorf("index: truncated posting delta header")
-	}
+// decodePostingDelta reads the format earlier versions wrote: two varints
+// a position — a marker (0 = same document, else document delta + 1) and
+// an offset or offset gap — and no checkpoints.
+func decodePostingDelta(dst []Pos, v []byte) ([]Pos, error) {
 	n := int(binary.BigEndian.Uint16(v[0:2]))
 	v = v[2:]
-	out := make([]Pos, 0, n)
 	var prev Pos
-	first := true
 	for i := 0; i < n; i++ {
 		marker, k := binary.Uvarint(v)
 		if k <= 0 {
@@ -230,46 +382,20 @@ func decodePostingDelta(v []byte) ([]Pos, error) {
 			return nil, fmt.Errorf("index: truncated posting offset at entry %d", i)
 		}
 		v = v[k:]
-		var p Pos
 		if marker == 0 {
-			if first {
+			if i == 0 {
 				return nil, fmt.Errorf("index: posting delta starts with same-doc marker")
 			}
-			p = Pos{Doc: prev.Doc, Off: prev.Off + uint32(val)}
+			prev.Off += uint32(val)
 		} else {
-			doc := uint32(marker - 1)
-			if !first {
-				doc += prev.Doc
-			}
-			p = Pos{Doc: doc, Off: uint32(val)}
+			prev = Pos{Doc: prev.Doc + uint32(marker-1), Off: uint32(val)}
 		}
-		out = append(out, p)
-		prev = p
-		first = false
+		dst = append(dst, prev)
 	}
 	if len(v) != 0 {
 		return nil, fmt.Errorf("index: %d trailing bytes in posting value", len(v))
 	}
-	return out, nil
-}
-
-func decodePostingFixed(v []byte) ([]Pos, error) {
-	if len(v) < 2 {
-		return nil, fmt.Errorf("index: truncated posting header")
-	}
-	n := int(binary.BigEndian.Uint16(v[0:2]))
-	if len(v) != 2+8*n {
-		return nil, fmt.Errorf("index: posting value length %d for %d entries", len(v), n)
-	}
-	out := make([]Pos, n)
-	for i := 0; i < n; i++ {
-		off := 2 + 8*i
-		out[i] = Pos{
-			Doc: binary.BigEndian.Uint32(v[off : off+4]),
-			Off: binary.BigEndian.Uint32(v[off+4 : off+8]),
-		}
-	}
-	return out, nil
+	return dst, nil
 }
 
 // --- score inversion for RPL keys ---

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -230,7 +229,7 @@ func TestERPLKeyOrderIsPositional(t *testing.T) {
 
 func TestPostingValueRoundTrip(t *testing.T) {
 	ps := []Pos{{1, 2}, {1, 50}, {3, 7}, MaxPos}
-	got, err := decodePostingValue(postingValue(ps))
+	got, err := decodePostingInto(nil, postingValue(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +241,10 @@ func TestPostingValueRoundTrip(t *testing.T) {
 			t.Fatalf("pos[%d] = %v, want %v", i, got[i], ps[i])
 		}
 	}
-	if _, err := decodePostingValue([]byte{1}); err == nil {
+	if _, err := decodePostingInto(nil, []byte{1}); err == nil {
 		t.Fatal("short value decoded")
 	}
-	if _, err := decodePostingValue([]byte{0, 2, 0}); err == nil {
+	if _, err := decodePostingInto(nil, []byte{0, 2, 0}); err == nil {
 		t.Fatal("truncated value decoded")
 	}
 }
@@ -289,10 +288,12 @@ func TestPostingDeltaCompression(t *testing.T) {
 	if len(enc) >= 8*len(ps) {
 		t.Fatalf("delta encoding %d bytes >= fixed %d", len(enc), 8*len(ps))
 	}
-	if len(enc) > 3*len(ps)+3 {
-		t.Fatalf("delta encoding %d bytes for %d dense positions (want <= ~2/pos)", len(enc), len(ps))
+	// One byte per same-document position (gaps < 64), one switch entry,
+	// the header and six checkpoints.
+	if limit := postingHeaderSize + 6*checkpointSize + len(ps) + 2; len(enc) > limit {
+		t.Fatalf("delta encoding %d bytes for %d dense positions (want <= %d)", len(enc), len(ps), limit)
 	}
-	got, err := decodePostingValue(enc)
+	got, err := decodePostingInto(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,44 +304,27 @@ func TestPostingDeltaCompression(t *testing.T) {
 	}
 }
 
-func TestPostingFixedFormatStillDecodes(t *testing.T) {
-	// Hand-build a v1 (fixed) value: tag + count + 8-byte pairs.
-	ps := []Pos{{1, 10}, {2, 20}}
-	v := []byte{postingFormatFixed, 0, 2}
-	for _, p := range ps {
-		var buf [8]byte
-		binary.BigEndian.PutUint32(buf[0:4], p.Doc)
-		binary.BigEndian.PutUint32(buf[4:8], p.Off)
-		v = append(v, buf[:]...)
-	}
-	got, err := decodePostingValue(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != ps[0] || got[1] != ps[1] {
-		t.Fatalf("v1 decode = %v", got)
-	}
-}
-
 func TestPostingBadFormats(t *testing.T) {
-	if _, err := decodePostingValue([]byte{0x7F, 0, 1, 2}); err == nil {
+	if _, err := decodePostingInto(nil, []byte{0x7F, 0, 1, 2}); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 	// Truncated delta stream.
 	ps := []Pos{{1, 10}, {1, 20}, {2, 5}}
 	enc := postingValue(ps)
-	if _, err := decodePostingValue(enc[:len(enc)-1]); err == nil {
+	if _, err := decodePostingInto(nil, enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated value accepted")
 	}
 	// Trailing garbage.
-	if _, err := decodePostingValue(append(enc, 0xFF)); err == nil {
+	if _, err := decodePostingInto(nil, append(enc, 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
 
-// Property: any sorted position list round-trips through the delta codec.
+// Property: any sorted position list round-trips through the posting
+// codec, and the in-place span count over the encoded fragment equals
+// filtering the decoded positions, for spans anchored on its entries.
 func TestQuickPostingRoundTrip(t *testing.T) {
-	f := func(seeds []uint32) bool {
+	f := func(seeds []uint32, a, b uint16) bool {
 		var ps []Pos
 		var cur Pos
 		for i, s := range seeds {
@@ -356,7 +340,8 @@ func TestQuickPostingRoundTrip(t *testing.T) {
 				break
 			}
 		}
-		got, err := decodePostingValue(postingValue(ps))
+		enc := postingValue(ps)
+		got, err := decodePostingInto(nil, enc)
 		if err != nil {
 			return false
 		}
@@ -368,7 +353,14 @@ func TestQuickPostingRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		if len(ps) == 0 {
+			return true
+		}
+		lo, hi := ps[int(a)%len(ps)], ps[int(b)%len(ps)]
+		hi.Off += uint32(b) % 2
+		tf, more, err := (&SpanProbe{}).spanInFragment(enc, lo, hi, nil)
+		wantTF, wantMore := filterSpan(ps, lo, hi)
+		return err == nil && tf == wantTF && more == wantMore
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

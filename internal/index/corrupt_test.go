@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -54,26 +55,70 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		return out
 	}
 
-	// Posting values: fixed (0x01) and delta (0x02) formats.
+	// Posting values.
 	post := postingValue([]Pos{{Doc: 1, Off: 2}, {Doc: 1, Off: 9}, {Doc: 3, Off: 4}})
 	for name, v := range truncations(post) {
 		v := v
-		mustError(t, "decodePostingValue", name, func() error {
-			_, err := decodePostingValue(v)
+		mustError(t, "decodePostingInto", name, func() error {
+			_, err := decodePostingInto(nil, v)
 			return err
 		})
 	}
-	mustError(t, "decodePostingValue", "bad-format-byte", func() error {
-		_, err := decodePostingValue([]byte{0x7f, 0, 1})
+	mustError(t, "decodePostingInto", "bad-format-byte", func() error {
+		_, err := decodePostingInto(nil, []byte{0x7f, 0, 1})
 		return err
 	})
-	mustError(t, "decodePostingValue", "count-overruns-payload", func() error {
+	mustError(t, "decodePostingInto", "count-overruns-payload", func() error {
 		// Delta header claims 1000 positions, payload holds none.
-		_, err := decodePostingValue([]byte{0x02, 0x03, 0xe8})
+		_, err := decodePostingInto(nil, []byte{0x02, 0x03, 0xe8})
 		return err
 	})
-	mustError(t, "decodePostingFixed", "ragged-tail", func() error {
-		_, err := decodePostingFixed([]byte{0x01, 0, 1, 0xaa, 0xbb, 0xcc})
+
+	// Skip-format fragments: the sequential decoder and the in-place span
+	// counter reject the same damaged headers and entries. The counter is
+	// asked for a span that covers the whole fragment, so it walks from
+	// entry 0 into the first checkpoint, jumps to the last and walks to
+	// the end.
+	skip := postingValue(sweepPositions(100)) // three checkpoints
+	ckpt := func(v []byte, c int) []byte {
+		return v[postingHeaderSize+c*checkpointSize:][:checkpointSize]
+	}
+	damaged := map[string]func(v []byte) []byte{
+		"truncated-last-entry": func(v []byte) []byte { return v[:len(v)-1] },
+		"count-overruns-body": func([]byte) []byte {
+			// Ten entries claimed; nine bytes cannot hold them.
+			return []byte{postingFormatSkip, 0, 10, 0x01, 0x05, 2, 2, 2, 2, 2, 2, 2}
+		},
+		"checkpoint-offset-past-body": func(v []byte) []byte {
+			binary.BigEndian.PutUint16(ckpt(v, 2)[8:], 0xffff)
+			return v
+		},
+		"checkpoint-offsets-descend": func(v []byte) []byte {
+			copy(ckpt(v, 1)[8:], ckpt(v, 0)[8:])
+			return v
+		},
+		"checkpoint-positions-descend": func(v []byte) []byte {
+			copy(ckpt(v, 2)[:8], ckpt(v, 0)[:8])
+			return v
+		},
+	}
+	for name, damage := range damaged {
+		v := damage(append([]byte(nil), skip...))
+		mustError(t, "decodePostingInto", name, func() error {
+			_, err := decodePostingInto(nil, v)
+			return err
+		})
+		mustError(t, "spanInFragment", name, func() error {
+			_, _, err := (&SpanProbe{}).spanInFragment(v, Pos{}, MaxPos, nil)
+			return err
+		})
+	}
+	// A checkpoint that is in order within the table but not within the
+	// list is only visible to a reader that decodes the entries before it.
+	unordered := append([]byte(nil), skip...)
+	clear(ckpt(unordered, 0)[:8])
+	mustError(t, "decodePostingInto", "checkpoint-below-entry-before-it", func() error {
+		_, err := decodePostingInto(nil, unordered)
 		return err
 	})
 

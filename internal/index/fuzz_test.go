@@ -18,13 +18,29 @@ import (
 //
 //	go test ./internal/index -fuzz FuzzDecodeRPLRow -fuzztime 10s
 
+// FuzzDecodePostingValue also drives the in-place span counter over the
+// same bytes: it must not panic either, and on every value the strict
+// decoder accepts it must agree with filtering the decoded positions.
 func FuzzDecodePostingValue(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(postingValue([]Pos{{Doc: 1, Off: 2}, {Doc: 1, Off: 7}}))
-	f.Add([]byte{0x02, 0x03, 0xe8})
-	f.Add([]byte{0x01, 0xff, 0xff, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, v []byte) {
-		_, _ = decodePostingValue(v) // must not panic
+	f.Add([]byte{}, uint32(0), uint32(0), uint32(0))
+	f.Add(postingValue([]Pos{{Doc: 1, Off: 2}, {Doc: 1, Off: 7}}), uint32(1), uint32(2), uint32(6))
+	f.Add(postingValue(sweepPositions(100)), uint32(5), uint32(0), uint32(40000))
+	f.Add(legacyPostingValue(sweepPositions(40)), uint32(4), uint32(9), uint32(300))
+	f.Add([]byte{0x02, 0x03, 0xe8}, uint32(0), uint32(0), uint32(1))
+	f.Add([]byte{0x03, 0x00, 0x21, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff}, uint32(0), uint32(0), uint32(1))
+	f.Fuzz(func(t *testing.T, v []byte, doc, off, length uint32) {
+		lo := Pos{Doc: doc, Off: off}
+		hi := Pos{Doc: doc, Off: off + length}
+		ps, err := decodePostingInto(nil, v)
+		tf, more, cerr := (&SpanProbe{}).spanInFragment(v, lo, hi, nil)
+		if err != nil {
+			return
+		}
+		wantTF, wantMore := filterSpan(ps, lo, hi)
+		if cerr != nil || tf != wantTF || more != wantMore {
+			t.Fatalf("span [%v, %v) over %d decoded positions = (%d, %v, %v), want (%d, %v)",
+				lo, hi, len(ps), tf, more, cerr, wantTF, wantMore)
+		}
 	})
 }
 

@@ -92,7 +92,7 @@ type PostingIterator struct {
 		NextPrefix(prefix []byte) (bool, error)
 		Value() []byte
 	}
-	frag    []Pos
+	frag    []Pos // the current fragment, decoded into a buffer the iterator reuses
 	i       int
 	started bool
 	done    bool
@@ -129,11 +129,9 @@ func (it *PostingIterator) NextPosition() (Pos, error) {
 			it.done = true
 			return MaxPos, nil
 		}
-		frag, err := decodePostingValue(it.cur.Value())
-		if err != nil {
+		if it.frag, err = decodePostingInto(it.frag[:0], it.cur.Value()); err != nil {
 			return MaxPos, err
 		}
-		it.frag = frag
 		it.i = 0
 	}
 	p := it.frag[it.i]

@@ -1,49 +1,11 @@
 package index
 
-import "bytes"
-
 // positionsInSpan returns the offsets of term occurrences strictly inside
 // the element's span, in order.
 func positionsInSpan(s *Store, term string, e Element) ([]uint32, error) {
-	if e.IsDummy() || e.Length == 0 {
-		return nil, nil
-	}
-	lo := Pos{Doc: e.Doc, Off: e.Start() + 1}
-	hi := Pos{Doc: e.Doc, Off: e.End}
-	prefix := termPrefix(term)
-	cur := s.Postings.Cursor()
-	ok, err := cur.SeekFloor(postingKey(term, lo))
-	if err != nil {
-		return nil, err
-	}
-	if !ok || !bytes.HasPrefix(cur.Key(), prefix) {
-		ok, err = cur.SeekPrefix(prefix)
-		if err != nil || !ok {
-			return nil, err
-		}
-	}
 	var out []uint32
-	for {
-		frag, err := decodePostingValue(cur.Value())
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range frag {
-			if p.IsMax() || !p.Less(hi) {
-				return out, nil
-			}
-			if !p.Less(lo) {
-				out = append(out, p.Off)
-			}
-		}
-		ok, err = cur.NextPrefix(prefix)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-	}
+	_, err := NewSpanProbe(s, term).span(e, &out)
+	return out, err
 }
 
 // maxPhraseGap is the largest byte gap tolerated between the end of one

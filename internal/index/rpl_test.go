@@ -6,7 +6,7 @@ import (
 	"trex/internal/storage"
 )
 
-func openEmptyStore(t *testing.T) *Store {
+func openEmptyStore(t testing.TB) *Store {
 	t.Helper()
 	db := storage.OpenMemory()
 	t.Cleanup(func() { db.Close() })

@@ -198,8 +198,10 @@ func Prior(m Method, f Features) float64 {
 		return 3*float64(f.PostingsPositions) + base
 	case TA:
 		// Sorted accesses down to the stop depth, with random-access
-		// probes (weight 8) amortized over the frontier and heap
-		// maintenance on top.
+		// probes (weight 8, as in retrieval.Stats.CostProxy, where the
+		// measured ratio of 11-17 sorted reads per one-shot probe is
+		// recorded) amortized over the frontier and heap maintenance
+		// on top.
 		return 6*taDepth(f) + base
 	case NRA:
 		// No random accesses, but a deeper stop (bounds converge more

@@ -26,7 +26,7 @@ var (
 	benchErr  error
 )
 
-func retrievalBenchEnv(b *testing.B) *benchEnvT {
+func retrievalBenchEnv(b testing.TB) *benchEnvT {
 	b.Helper()
 	benchOnce.Do(func() {
 		col := corpus.GenerateIEEE(150, 41)
@@ -96,6 +96,24 @@ func BenchmarkTAvsNRA(b *testing.B) {
 			}
 			b.ReportMetric(float64(sorted), "sorted")
 		})
+	}
+}
+
+// TestTAAllocationCeiling guards TA's random-access path. At k=1000 on
+// this fixture TA makes 4,000 random accesses; when each one built a
+// cursor, a key and a decoded fragment the query cost 26,624 allocations.
+// With one reusable probe per term it costs about 1,600, none of them per
+// access, and the ceiling keeps it well under half the old figure.
+func TestTAAllocationCeiling(t *testing.T) {
+	e := retrievalBenchEnv(t)
+	const ceiling = 4000
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := TA(e.store, e.sids, e.terms, e.sc, 1000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("TA k=1000 allocates %.0f times per query, ceiling %d", allocs, ceiling)
 	}
 }
 

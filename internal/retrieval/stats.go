@@ -124,6 +124,13 @@ func (s *Stats) ITATime() time.Duration {
 // depend on wall-clock noise. Weights approximate relative operation
 // costs: random accesses pay a seek, heap operations pay comparisons and
 // cache misses, the final sort pays n log n.
+//
+// The random-access weight of 8 sorted reads is measured, not assumed: on
+// the benchmark's paper_grid workload a one-shot index.TFInSpan costs 11
+// to 17 RPL reads (index.tf_in_span_ns 840-1,070 over index.rpl_next_ns
+// 63-79, two seeds), and TA's per-term SpanProbe, which reuses its cursor
+// and key, about two thirds of that. Before posting fragments carried
+// checkpoints the ratio was near 60.
 func (s *Stats) CostProxy() float64 {
 	reads := float64(s.PositionsScanned)
 	var listReads int

@@ -53,9 +53,11 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 	}
 
 	iters := make([]*index.RPLIterator, n)
+	probes := make([]*index.SpanProbe, n) // random access, one per term for the whole query
 	exhausted := make([]bool, n)
 	for j, t := range terms {
 		iters[j] = index.NewRPLIterator(st, t)
+		probes[j] = index.NewSpanProbe(st, t)
 	}
 	// Pull each list's head so the first threshold check has data; heads
 	// are buffered and replayed below.
@@ -75,22 +77,23 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 	topk := newTopKHeap(k)
 	seen := make(map[uint64]bool)
 	elemKey := func(e index.Element) uint64 { return uint64(e.Doc)<<32 | uint64(e.End) }
+	contrib := make([]float64, n)
 
 	processEntry := func(j int, e index.RPLEntry) error {
-		key := elemKey(e.Element())
+		elem := e.Element()
+		key := elemKey(elem)
 		if seen[key] {
 			return nil
 		}
 		seen[key] = true
 		// Sum contributions in term order (not arrival order) so scores
 		// are bit-identical across methods and ties rank consistently.
-		contrib := make([]float64, len(terms))
-		contrib[j] = e.Score
 		for jj, t := range terms {
 			if jj == j {
+				contrib[jj] = e.Score
 				continue
 			}
-			tf, err := index.TFInSpan(st, t, e.Element())
+			tf, err := probes[jj].Count(elem)
 			if err != nil {
 				return err
 			}
@@ -101,10 +104,13 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 		for _, v := range contrib {
 			total += v
 		}
-		hs := time.Now()
-		topk.offer(Scored{Elem: e.Element(), Score: total})
-		stats.HeapTime += time.Since(hs)
-		stats.HeapOps = topk.ops
+		// Only an offer that enters the heap is heap management; one the
+		// k-th best already beats costs a comparison.
+		if cand := (Scored{Elem: elem, Score: total}); topk.admits(cand) {
+			hs := time.Now()
+			topk.offer(cand)
+			stats.HeapTime += time.Since(hs)
+		}
 		return nil
 	}
 
@@ -176,6 +182,7 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 	hs := time.Now()
 	out := topk.sorted()
 	stats.HeapTime += time.Since(hs)
+	stats.HeapOps = topk.ops
 	for j := range iters {
 		stats.CursorSteps += iters[j].RowsRead
 	}
@@ -221,6 +228,12 @@ func (h *topKHeap) full() bool { return h.items.Len() >= h.k }
 // full() is true.
 func (h *topKHeap) worst() float64 { return h.items[0].Score }
 
+// admits reports whether offer would keep the candidate: the heap has
+// room, or the candidate beats the current k-th best.
+func (h *topKHeap) admits(s Scored) bool {
+	return h.items.Len() < h.k || scoredLess(h.items[0], s)
+}
+
 // offer inserts the candidate, evicting the current minimum if the heap is
 // full and the candidate beats it.
 func (h *topKHeap) offer(s Scored) {
@@ -229,8 +242,8 @@ func (h *topKHeap) offer(s Scored) {
 		h.ops++
 		return
 	}
-	if !scoredLess(h.items[0], s) {
-		return // candidate does not beat the current k-th best
+	if !h.admits(s) {
+		return
 	}
 	h.items[0] = s
 	heap.Fix(&h.items, 0)

@@ -20,6 +20,16 @@ type Cursor struct {
 	leaf  *node
 	index int
 	valid bool
+	// frames backs SeekFloor's descent path, so a reused cursor seeks
+	// without allocating; a tree deeper than the array spills to the heap.
+	frames [8]floorFrame
+}
+
+// floorFrame is one branch on SeekFloor's descent path: the node and the
+// child index taken there.
+type floorFrame struct {
+	n  *node
+	ci int
 }
 
 // Cursor returns a new unpositioned cursor.
@@ -75,18 +85,14 @@ func (c *Cursor) SeekFloor(key []byte) (bool, error) {
 	}
 	// Descend, remembering the child index taken at each branch so we can
 	// back up to a left subtree when the target leaf has no key <= key.
-	type frame struct {
-		n  *node
-		ci int
-	}
-	var stack []frame
+	stack := c.frames[:0]
 	n, err := c.tree.db.pager.node(c.tree.root)
 	if err != nil {
 		return false, err
 	}
 	for !n.isLeaf {
 		ci := n.childIndexFor(key)
-		stack = append(stack, frame{n: n, ci: ci})
+		stack = append(stack, floorFrame{n: n, ci: ci})
 		n, err = c.tree.db.pager.node(n.children[ci])
 		if err != nil {
 			return false, err

@@ -133,3 +133,68 @@ func TestQuickSeekFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A reused cursor must land where a fresh one does, whatever it did
+// before: SeekFloor keeps its descent path on the cursor, so Seek,
+// SeekFloor and SeekPrefix are interleaved on one cursor and every result
+// is compared with a fresh cursor's. Probes just below a leaf's first key
+// take the climb-to-left-sibling path with frames left by the last call.
+func TestCursorReuseMatchesFresh(t *testing.T) {
+	tr := newTestTree(t)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i*2)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type op func(c *Cursor, key []byte) (bool, error)
+	ops := []op{
+		func(c *Cursor, k []byte) (bool, error) { return c.Seek(k) },
+		func(c *Cursor, k []byte) (bool, error) { return c.SeekFloor(k) },
+		func(c *Cursor, k []byte) (bool, error) { return c.SeekPrefix(k[:len(k)-1]) },
+	}
+	reused := tr.Cursor()
+	for i := -1; i <= 2*n; i++ {
+		key := []byte(fmt.Sprintf("key-%06d", i))
+		if i < 0 {
+			key = []byte("a")
+		}
+		for j := range ops {
+			do := ops[(i+j+3)%len(ops)]
+			fresh := tr.Cursor()
+			wantOK, wantErr := do(fresh, key)
+			gotOK, gotErr := do(reused, key)
+			if gotOK != wantOK || gotErr != nil || wantErr != nil || string(reused.Key()) != string(fresh.Key()) {
+				t.Fatalf("probe %q: reused cursor = (%v, %v, %q), fresh = (%v, %v, %q)",
+					key, gotOK, gotErr, reused.Key(), wantOK, wantErr, fresh.Key())
+			}
+			if !gotOK {
+				continue
+			}
+			// The position must also continue identically.
+			wantOK, _ = fresh.Next()
+			gotOK, _ = reused.Next()
+			if gotOK != wantOK || string(reused.Key()) != string(fresh.Key()) {
+				t.Fatalf("Next after probe %q: reused %q, fresh %q", key, reused.Key(), fresh.Key())
+			}
+		}
+	}
+}
+
+func TestSeekFloorReusedCursorDoesNotAllocate(t *testing.T) {
+	tr := newTestTree(t)
+	for i := 0; i < 3000; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i*2)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := tr.Cursor()
+	probe := []byte("key-003001")
+	if allocs := testing.AllocsPerRun(200, func() {
+		if ok, err := cur.SeekFloor(probe); !ok || err != nil {
+			t.Fatalf("SeekFloor = (%v, %v)", ok, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("SeekFloor on a reused cursor allocates %.1f times per call, want 0", allocs)
+	}
+}

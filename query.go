@@ -840,14 +840,18 @@ func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, n
 	}
 
 	queryPhrases := phrases(tr)
+	negProbes := make([]*index.SpanProbe, len(negs))
+	for i, w := range negs {
+		negProbes[i] = index.NewSpanProbe(e.store, w)
+	}
 	var answers []Answer
 	for _, it := range items {
 		if !it.target {
 			continue
 		}
 		total := it.score + it.bonus
-		for _, w := range negs {
-			tf, err := index.TFInSpan(e.store, w, it.elem)
+		for i, w := range negs {
+			tf, err := negProbes[i].Count(it.elem)
 			if err != nil {
 				return nil, err
 			}
