@@ -179,18 +179,24 @@ test-ingest:
 	$(GO) test ./internal/cluster -run 'TestClusterStreamingIngestConvergesEpochs' -race -count=1
 	$(GO) test ./internal/webapi -run 'TestIngest' -count=1
 
-# fuzz gives each codec fuzz target a short bounded run — long enough to
-# catch a decode panic regression, short enough for CI. The loop fails
+# fuzz gives each fuzz target — the list and posting codecs, the cursor's
+# forward seek, the segment reader, the JSON mapping — a short bounded run:
+# long enough to catch a regression, short enough for CI. The loop fails
 # fast: the first red target stops the run instead of burning the
 # remaining fuzz budget on a build that is already broken.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = FuzzDecodePostingValue FuzzDecodeRPLRow FuzzDecodeERPLRow FuzzBlockRoundTrip
+STORAGE_FUZZ_TARGETS = FuzzCursorSeekForward
 SEGMENT_FUZZ_TARGETS = FuzzReader
 JSON_FUZZ_TARGETS = FuzzJSONToElements
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \
 		$(GO) test ./internal/index -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done; \
+	for t in $(STORAGE_FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test ./internal/storage -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done; \
 	for t in $(SEGMENT_FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \
@@ -226,7 +232,7 @@ soak-cluster:
 # the segment-backend gate, the telemetry conformance gate, the
 # front-door gate, the query-planner gate, the cluster gate, the
 # JSON-universe gate, the streaming-ingest gate, and short codec,
-# segment-format, and JSON-mapping fuzz runs.
+# cursor, segment-format, and JSON-mapping fuzz runs.
 ci: build vet test race test-segment test-telemetry test-frontdoor test-planner test-cluster test-json test-ingest fuzz
 
 # run-serve-autopilot is an end-to-end smoke test of the online

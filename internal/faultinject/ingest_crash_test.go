@@ -8,6 +8,7 @@ package faultinject_test
 // during batch 2 lands on post-batch-1, never between batches' halves.
 
 import (
+	"fmt"
 	"testing"
 
 	"trex/internal/corpus"
@@ -22,38 +23,46 @@ import (
 // document is staged individually, appended into one pending batch,
 // renumbered at commit time, applied, and flushed once.
 func stageIngest(db *storage.DB, f corpus.Format, docs []corpus.Document, baseCol *corpus.Collection) error {
+	if _, err := applyIngest(db, f, docs, baseCol); err != nil {
+		return err
+	}
+	return db.Flush()
+}
+
+// applyIngest is stageIngest up to, but not including, the flush.
+func applyIngest(db *storage.DB, f corpus.Format, docs []corpus.Document, baseCol *corpus.Collection) (*index.Store, error) {
 	st, err := index.Open(db)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Rebuild the summary from the base collection each attempt:
 	// ApplyStaged extends it in place, so it cannot be shared across
 	// crash iterations.
 	sum, err := summary.Build(baseCol, summary.Options{Kind: summary.KindIncoming})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var pending *index.StagedBatch
 	for _, d := range docs {
 		b, err := index.StageDocuments(f, []corpus.Document{{Data: d.Data}})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if pending == nil {
 			pending = b
 		} else if err := pending.Append(b); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	next, err := st.LocalDocCount()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pending.Renumber(next)
 	if _, err := index.ApplyStaged(st, pending, sum); err != nil {
-		return err
+		return nil, err
 	}
-	return db.Flush()
+	return st, nil
 }
 
 // TestCrashLoopStagedIngest kills the staged-ingest commit at every
@@ -209,4 +218,35 @@ func TestCrashLoopStagedIngestTwoBatches(t *testing.T) {
 		t.Fatal("no crash point ever recovered to post-batch-2")
 	}
 	t.Logf("%d boundaries: %d pre, %d post-batch-1, %d post-batch-2", total+1, atPre, atMid, atPost)
+}
+
+// TestCrashLoopStagedIngestDropsLists is the engine's whole commit: the
+// batch is applied over a store that holds materialized lists, every list
+// is dropped in one pass (their scores are stale), and one flush commits
+// both. A kill at any write boundary must leave the lists and the base
+// tables together at the pre-batch state or together at the post-batch
+// state.
+func TestCrashLoopStagedIngestDropsLists(t *testing.T) {
+	baseCol := &corpus.Collection{Docs: genDocs(42, 0, 24)}
+	pre := buildBaseImage(t)
+	db, err := storage.OpenBackend(pre, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opMaterialize(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runCrashLoop(t, pre, func(db *storage.DB) error {
+		st, err := applyIngest(db, corpus.FormatXML, genDocs(42, 24, 28), baseCol)
+		if err != nil {
+			return err
+		}
+		if n, err := index.DropAllLists(st); err != nil || n == 0 {
+			return fmt.Errorf("DropAllLists = (%d, %v), want the materialized entries", n, err)
+		}
+		return db.Flush()
+	})
 }

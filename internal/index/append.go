@@ -254,22 +254,3 @@ func AppendDocuments(s *Store, docs []corpus.Document, sum *summary.Summary) (*A
 	}
 	return ApplyStaged(s, b, sum)
 }
-
-// DropAllLists removes every materialized RPL/ERPL list and its catalog
-// entry, returning the number of list entries deleted. Used after
-// ApplyStaged, when all stored scores are stale.
-func DropAllLists(s *Store) (int, error) {
-	entries, err := s.CatalogEntries()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, e := range entries {
-		n, err := s.DropList(e.Kind, e.Term, e.SID)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}

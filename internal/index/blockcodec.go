@@ -310,6 +310,19 @@ func rplBlockMaxScore(v []byte) (float64, error) {
 	return s, nil
 }
 
+// rplRowCount reads an RPL row's entry count — 1 for a v1 row, the header
+// count of a block — without decoding the entries.
+func rplRowCount(v []byte) (int, error) {
+	if len(v) == rplV1ValueLen {
+		return 1, nil
+	}
+	if len(v) < 1 || v[0] != listFormatBlock {
+		return 0, fmt.Errorf("index: bad RPL block format")
+	}
+	r := &uvReader{b: v[1:]}
+	return r.blockCount(5)
+}
+
 // decodeERPLBlock decodes a v2 ERPL block value (including the leading
 // format byte) into its entries.
 func decodeERPLBlock(v []byte) ([]RPLEntry, error) {

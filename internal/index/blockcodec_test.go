@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"trex/internal/storage"
 )
 
 // randEntries builds a deterministic entry set spanning several sids and
@@ -459,5 +461,81 @@ func TestDropListOverBlocks(t *testing.T) {
 		if count != wantN {
 			t.Fatalf("ERPL sid %d: %d entries, want %d", sid, count, wantN)
 		}
+	}
+}
+
+// TestDropAllListsCountsLikePerListDrops: the one-pass drop reports the
+// entry count the per-list drops add up to — over block rows of several
+// terms and v1 rows side by side — and leaves both list trees and the
+// catalog empty.
+func TestDropAllListsCountsLikePerListDrops(t *testing.T) {
+	build := func() *Store {
+		st := openEmptyStore(t)
+		for ti, term := range []string{"xml", "index", "query"} {
+			entries := randEntries(300+150*ti, int64(13+ti))
+			perSID := make(map[uint32]int)
+			for _, e := range entries {
+				perSID[e.SID]++
+			}
+			for _, kind := range []ListKind{KindRPL, KindERPL} {
+				writeBlocks(t, st, kind, term, append([]RPLEntry(nil), entries...))
+				for sid, n := range perSID {
+					if err := st.MarkBuilt(kind, term, sid, n, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		// A v1 row-per-entry list and a list that was built empty.
+		for i, e := range randEntries(20, 99) {
+			e.SID = 9
+			e.Score += float64(i) / 1024
+			if err := st.PutRPL("legacy", e); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutERPL("legacy", e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, kind := range []ListKind{KindRPL, KindERPL} {
+			if err := st.MarkBuilt(kind, "legacy", 9, 20, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.MarkBuilt(kind, "absent", 3, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	perList := build()
+	catalog, err := perList.CatalogEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, e := range catalog {
+		n, err := perList.DropList(e.Kind, e.Term, e.SID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += n
+	}
+	st := build()
+	got, err := DropAllLists(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got == 0 {
+		t.Fatalf("DropAllLists dropped %d entries, per-list drops %d", got, want)
+	}
+	for _, s := range []*Store{perList, st} {
+		for name, tree := range map[string]*storage.Tree{"RPLs": s.RPLs, "ERPLs": s.ERPLs, "Catalog": s.Catalog} {
+			if n, err := tree.Len(); err != nil || n != 0 {
+				t.Fatalf("%s holds %d rows after the drop (err %v)", name, n, err)
+			}
+		}
+	}
+	if n, err := DropAllLists(st); err != nil || n != 0 {
+		t.Fatalf("second DropAllLists = (%d, %v), want (0, nil)", n, err)
 	}
 }

@@ -1,6 +1,10 @@
 package index
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"trex/internal/storage"
+)
 
 // DropList removes every entry of the (kind, term, sid) list and its
 // catalog record, returning the number of entries deleted. The
@@ -132,4 +136,55 @@ func (s *Store) dropRPL(term string, sid uint32) (int, error) {
 		return 0, err
 	}
 	return dropped, nil
+}
+
+// DropAllLists removes every materialized RPL/ERPL list and its catalog
+// entry, returning the number of list entries deleted. Used after
+// ApplyStaged, when all stored scores are stale. Nothing survives, so
+// unlike DropList no row is decoded or re-encoded: each tree is emptied
+// after one cursor pass that takes the entry counts from the row headers.
+func DropAllLists(s *Store) (int, error) {
+	total := 0
+	for _, t := range []struct {
+		tree    *storage.Tree
+		entries func(k, v []byte) (int, error)
+	}{
+		{s.RPLs, func(_, v []byte) (int, error) { return rplRowCount(v) }},
+		{s.ERPLs, func(k, v []byte) (int, error) {
+			n, _, _, err := erplRowStats(k, v)
+			return n, err
+		}},
+		{s.Catalog, func(_, _ []byte) (int, error) { return 0, nil }},
+	} {
+		// Collect the keys first: deleting while iterating would
+		// invalidate the cursor.
+		var keys [][]byte
+		cur := t.tree.Cursor()
+		ok, err := cur.First()
+		for ; ok; ok, err = cur.Next() {
+			n, err := t.entries(cur.Key(), cur.Value())
+			if err != nil {
+				return total, err
+			}
+			total += n
+			keys = append(keys, append([]byte(nil), cur.Key()...))
+		}
+		if err != nil {
+			return total, err
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		// Only the first call after a segment commit does anything.
+		if err := s.noteListChange(); err != nil {
+			return total, err
+		}
+		for _, k := range keys {
+			if _, err := t.tree.Delete(k); err != nil {
+				return total, err
+			}
+		}
+	}
+	s.stats.invalidate()
+	return total, nil
 }

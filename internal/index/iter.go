@@ -2,32 +2,44 @@ package index
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math"
+
+	"trex/internal/storage"
 )
 
 // ElementIterator walks the extent of one sid in (doc, endpos) order —
 // the I_s iterator of the ERA algorithm (paper Figure 2). At extent end it
-// returns the dummy element (end position m-pos, length zero).
+// returns the dummy element (end position m-pos, length zero). Its
+// targets only ever grow, so it advances with Cursor.SeekForward: an
+// element in the leaf the cursor already holds costs no tree descent.
 type ElementIterator struct {
-	store *Store
-	sid   uint32
-	cur   interface {
-		Seek(key []byte) (bool, error)
-		Key() []byte
-		Value() []byte
-	}
+	sid uint32
+	cur *storage.Cursor
+	key [12]byte // seek-target buffer: the sid, then each advance's (doc, end)
 }
 
 // NewElementIterator creates an iterator over the elements with the given
 // sid.
 func NewElementIterator(s *Store, sid uint32) *ElementIterator {
-	return &ElementIterator{store: s, sid: sid, cur: s.Elements.Cursor()}
+	it := &ElementIterator{sid: sid, cur: s.Elements.Cursor()}
+	binary.BigEndian.PutUint32(it.key[0:4], sid)
+	return it
 }
 
-// read decodes the row under the cursor, verifying it still belongs to the
-// iterator's sid.
-func (it *ElementIterator) read() (Element, error) {
+// seek returns the extent's first element at or after (doc, end), or the
+// dummy element once the cursor leaves the sid's key range.
+func (it *ElementIterator) seek(doc, end uint32) (Element, error) {
+	binary.BigEndian.PutUint32(it.key[4:8], doc)
+	binary.BigEndian.PutUint32(it.key[8:12], end)
+	ok, err := it.cur.SeekForward(it.key[:])
+	if err != nil {
+		return Element{}, err
+	}
+	if !ok {
+		return DummyElement(), nil
+	}
 	sid, doc, end, err := decodeElementsKey(it.cur.Key())
 	if err != nil {
 		return Element{}, err
@@ -45,19 +57,12 @@ func (it *ElementIterator) read() (Element, error) {
 // FirstElement returns the first element of the extent, or the dummy
 // element if the extent is empty.
 func (it *ElementIterator) FirstElement() (Element, error) {
-	ok, err := it.cur.Seek(elementsKey(it.sid, 0, 0))
-	if err != nil {
-		return Element{}, err
-	}
-	if !ok {
-		return DummyElement(), nil
-	}
-	return it.read()
+	return it.seek(0, 0)
 }
 
 // NextElementAfter returns the extent element with the lowest end position
-// strictly greater than p, or the dummy element. Implemented as an index
-// seek, exactly as the paper describes.
+// strictly greater than p, or the dummy element — the paper's index seek,
+// answered in place while the target stays inside the current leaf.
 func (it *ElementIterator) NextElementAfter(p Pos) (Element, error) {
 	doc, off := p.Doc, p.Off
 	// Strictly-greater seek target: increment (doc, off) lexicographically.
@@ -69,14 +74,7 @@ func (it *ElementIterator) NextElementAfter(p Pos) (Element, error) {
 	} else {
 		off++
 	}
-	ok, err := it.cur.Seek(elementsKey(it.sid, doc, off))
-	if err != nil {
-		return Element{}, err
-	}
-	if !ok {
-		return DummyElement(), nil
-	}
-	return it.read()
+	return it.seek(doc, off)
 }
 
 // PostingIterator walks a term's posting list in position order — the I_t

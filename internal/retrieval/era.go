@@ -27,6 +27,14 @@ func ERA(st *index.Store, sids []uint32, terms []string) ([]ElementTF, *Stats, e
 // open elements (so partially counted elements are still emitted with
 // the frequencies seen so far) and returns with Stats.Approximate set;
 // on cancellation it returns the context's error.
+//
+// Both inputs only move forward, so the sweep keeps two pieces of state
+// between positions: the sids whose current element contains the last
+// position (open), and the smallest position at which any sid's current
+// element is entered or left (bound). A position below bound changes no
+// sid's state and costs one increment per open element; only a position
+// at or past it runs Figure 2's per-sid case analysis, which rebuilds
+// both.
 func ERACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string) ([]ElementTF, *Stats, error) {
 	start := time.Now()
 	io := st.IOStats()
@@ -63,35 +71,36 @@ func ERACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string)
 		}
 	}
 
-	c := make([][]int, m)
-	for i := range c {
-		c[i] = make([]int, n)
-	}
+	// c is the m x n counter matrix, row i at c[i*n:(i+1)*n]. A row is
+	// non-zero exactly when its sid has been open since its last flush,
+	// which counted[i] records.
+	c := make([]int, m*n)
+	counted := make([]bool, m)
+	open := make([]int, 0, m)
+	var bound index.Pos // zero: the first position runs the case analysis
 	// TF rows are carved out of slab allocations instead of one make per
 	// emitted element: ERA emits one row per answer, and per-row slices
 	// dominated its allocation profile on broad queries.
 	const tfSlabRows = 256
 	var tfSlab []int
 	flush := func(i int) {
-		row := c[i]
-		nonZero := false
-		for _, v := range row {
-			if v != 0 {
-				nonZero = true
-				break
-			}
+		if !counted[i] {
+			return
 		}
-		if nonZero && !cur[i].IsDummy() {
-			if len(tfSlab) < n {
-				tfSlab = make([]int, n*tfSlabRows)
-			}
-			tf := tfSlab[:n:n]
-			tfSlab = tfSlab[n:]
-			copy(tf, row)
-			out = append(out, ElementTF{Elem: cur[i], TF: tf})
-			for x := range row {
-				row[x] = 0
-			}
+		counted[i] = false
+		if len(tfSlab) < n {
+			tfSlab = make([]int, n*tfSlabRows)
+		}
+		tf := tfSlab[:n:n]
+		tfSlab = tfSlab[n:]
+		row := c[i*n : (i+1)*n]
+		copy(tf, row)
+		out = append(out, ElementTF{Elem: cur[i], TF: tf})
+		clear(row)
+	}
+	flushAll := func() {
+		for i := 0; i < m; i++ {
+			flush(i)
 		}
 	}
 
@@ -100,9 +109,7 @@ func ERACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string)
 			if stop, err := pollBudget(ctx); err != nil {
 				return nil, nil, err
 			} else if stop {
-				for i := 0; i < m; i++ {
-					flush(i)
-				}
+				flushAll()
 				stats.Approximate = true
 				break
 			}
@@ -117,35 +124,48 @@ func ERACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string)
 		px := pos[x]
 		if px.IsMax() {
 			// All terms exhausted: flush every open element and stop.
-			for i := 0; i < m; i++ {
-				flush(i)
-			}
+			flushAll()
 			break
 		}
-		for i := 0; i < m; i++ {
-			e := cur[i]
-			if e.IsDummy() {
-				continue
+		if px.Less(bound) {
+			for _, i := range open {
+				c[i*n+x]++
 			}
-			switch {
-			case px.Less(index.Pos{Doc: e.Doc, Off: e.Start() + 1}):
-				// pos_x <= start(e_i): not inside yet, do nothing.
-			case e.Contains(px):
-				c[i][x]++
-			default:
-				// end(e_i) <= pos_x: the element is behind us.
-				flush(i)
-				next, err := elemIters[i].NextElementAfter(px)
-				if err != nil {
-					return nil, nil, err
+		} else {
+			open = open[:0]
+			bound = index.MaxPos
+			for i := 0; i < m; i++ {
+				e := cur[i]
+				if e.IsDummy() {
+					continue
 				}
-				// The paper advances to the element with the lowest end
-				// position greater than pos_x; that element may already
-				// contain pos_x.
-				cur[i] = next
-				stats.ElementsScanned++
-				if next.Contains(px) {
-					c[i][x]++
+				// change is the next position at which sid i changes state:
+				// one past its element's start, or its end once inside.
+				change := index.Pos{Doc: e.Doc, Off: e.Start() + 1}
+				if !px.Less(change) && !e.Contains(px) {
+					// end(e_i) <= pos_x: the element is behind us. The paper
+					// advances to the element with the lowest end position
+					// greater than pos_x, which may already contain pos_x.
+					flush(i)
+					var err error
+					if e, err = elemIters[i].NextElementAfter(px); err != nil {
+						return nil, nil, err
+					}
+					cur[i] = e
+					stats.ElementsScanned++
+					if e.IsDummy() {
+						continue
+					}
+					change = index.Pos{Doc: e.Doc, Off: e.Start() + 1}
+				}
+				if e.Contains(px) {
+					change = e.EndPos()
+					open = append(open, i)
+					counted[i] = true
+					c[i*n+x]++
+				}
+				if change.Less(bound) {
+					bound = change
 				}
 			}
 		}
@@ -187,20 +207,34 @@ func ExhaustiveTopKCtx(ctx context.Context, st *index.Store, sids []uint32, term
 	for j, t := range terms {
 		ts[j] = sc.TermScorer(t)
 	}
-	out := make([]Scored, 0, len(rows))
-	for _, r := range rows {
+	scoreRow := func(r ElementTF) Scored {
 		var total float64
 		for j := range ts {
 			if r.TF[j] != 0 {
 				total += ts[j].Score(r.TF[j], int(r.Elem.Length))
 			}
 		}
-		out = append(out, Scored{Elem: r.Elem, Score: total})
+		return Scored{Elem: r.Elem, Score: total}
+	}
+	var out []Scored
+	if k > 0 && k < len(rows) {
+		// Only k answers survive, so select them through the bounded heap
+		// and sort those: same (score desc, doc, end) order as sorting
+		// everything. Its operations are not reported in Stats.HeapOps —
+		// CostProxy prices ERA's ranking as the final sort, and the
+		// advisor's plans are functions of that number.
+		h := &topKHeap{k: k, items: make(scoredMinHeap, 0, k)}
+		for _, r := range rows {
+			h.offer(scoreRow(r))
+		}
+		out = h.items
+	} else {
+		out = make([]Scored, 0, len(rows))
+		for _, r := range rows {
+			out = append(out, scoreRow(r))
+		}
 	}
 	SortScored(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
 	stats.Elapsed = time.Since(start)
 	return out, stats, nil
 }

@@ -238,7 +238,10 @@ func (h *topKHeap) admits(s Scored) bool {
 // full and the candidate beats it.
 func (h *topKHeap) offer(s Scored) {
 	if h.items.Len() < h.k {
-		heap.Push(&h.items, s)
+		// heap.Push without boxing the candidate: Fix on the last slot
+		// sifts it up exactly as Push would.
+		h.items = append(h.items, s)
+		heap.Fix(&h.items, len(h.items)-1)
 		h.ops++
 		return
 	}

@@ -74,6 +74,55 @@ func (c *Cursor) Seek(key []byte) (bool, error) {
 	return c.skipEmptyLeaves()
 }
 
+// SeekForward positions the cursor exactly where Seek(key) would, for a
+// caller that only ever moves forward (a merge join's inner side, ERA's
+// extent iterators). When key lies between the cursor's current key and
+// the last key of the leaf it already holds, the answer is in that leaf:
+// it is found by galloping from the current cell and bisecting the last
+// stride, which touches no page and allocates nothing, and is counted as
+// a step (Stats.Nexts) rather than a seek. Any other target — past the
+// leaf, below the cursor, or from an unpositioned cursor — is an ordinary
+// Seek. Like Next, it reads the leaf the cursor holds, so a write to the
+// tree invalidates the cursor until its next Seek.
+func (c *Cursor) SeekForward(key []byte) (bool, error) {
+	if !c.valid {
+		return c.Seek(key)
+	}
+	cells := c.leaf.cells
+	lo, last := c.index, len(cells)-1
+	switch cmp := bytes.Compare(key, cells[lo].key); {
+	case cmp < 0:
+		return c.Seek(key)
+	case cmp == 0:
+		c.tree.db.pager.countNext()
+		return true, nil
+	}
+	if bytes.Compare(key, cells[last].key) > 0 {
+		return c.Seek(key)
+	}
+	// cells[lo] < key <= cells[last]: gallop until a cell at or above key
+	// bounds the stride, then bisect (lo, hi].
+	hi := lo + 1
+	for step := 2; hi < last && bytes.Compare(cells[hi].key, key) < 0; step <<= 1 {
+		lo = hi
+		hi += step
+	}
+	if hi > last {
+		hi = last
+	}
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(cells[mid].key, key) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	c.index = hi
+	c.tree.db.pager.countNext()
+	return true, nil
+}
+
 // SeekFloor positions the cursor at the greatest key <= key. It reports
 // whether such a key exists. Posting-list random access uses this to find
 // the fragment whose first position precedes a probe target.

@@ -8,8 +8,9 @@
 //
 //   - keyed lookup (Get), and
 //   - ordered sequential access from an arbitrary start key (Cursor.Seek
-//     followed by Cursor.Next), which is what the ERA, TA and Merge
-//     iterators are built on.
+//     followed by Cursor.Next, or Cursor.SeekForward for a reader whose
+//     targets only grow), which is what the ERA, TA and Merge iterators
+//     are built on.
 //
 // A DB holds any number of named trees (tables). All keys and values are
 // opaque byte slices; key order is plain bytes.Compare, so callers encode

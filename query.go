@@ -1,9 +1,11 @@
 package trex
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -795,16 +797,20 @@ func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, n
 		target bool
 		bonus  float64
 	}
-	items := make([]*item, 0, len(scored))
-	for _, s := range scored {
-		items = append(items, &item{elem: s.Elem, score: s.Score, target: targetSet[s.Elem.SID]})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		a, b := items[i].elem, items[j].elem
-		if a.Doc != b.Doc {
-			return a.Doc < b.Doc
+	items := make([]item, len(scored))
+	targets := 0
+	for i, s := range scored {
+		items[i] = item{elem: s.Elem, score: s.Score, target: targetSet[s.Elem.SID]}
+		if items[i].target {
+			targets++
 		}
-		return a.Start() < b.Start()
+	}
+	// (doc, start) identifies an element, so the order is total.
+	slices.SortFunc(items, func(a, b item) int {
+		if c := cmp.Compare(a.elem.Doc, b.elem.Doc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.elem.Start(), b.elem.Start())
 	})
 
 	// Sweep with an ancestor stack: when visiting x, the stack holds
@@ -815,7 +821,8 @@ func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, n
 	// a containing answer's own score already counts every term inside
 	// its span, so that would double-count.
 	var stack []*item
-	for _, x := range items {
+	for i := range items {
+		x := &items[i]
 		for len(stack) > 0 {
 			top := stack[len(stack)-1]
 			if top.elem.Doc == x.elem.Doc && x.elem.End <= top.elem.End {
@@ -845,7 +852,13 @@ func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, n
 		negProbes[i] = index.NewSpanProbe(e.store, w)
 	}
 	var answers []Answer
-	for _, it := range items {
+	if targets > 0 {
+		answers = make([]Answer, 0, targets)
+	}
+	// Answers of one sid share its path expression.
+	paths := make(map[uint32]string)
+	for i := range items {
+		it := &items[i]
 		if !it.target {
 			continue
 		}
@@ -870,9 +883,12 @@ func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, n
 				}
 			}
 		}
-		path := ""
-		if n := e.sum.NodeBySID(int(it.elem.SID)); n != nil {
-			path = n.XPathExpr()
+		path, ok := paths[it.elem.SID]
+		if !ok {
+			if n := e.sum.NodeBySID(int(it.elem.SID)); n != nil {
+				path = n.XPathExpr()
+			}
+			paths[it.elem.SID] = path
 		}
 		answers = append(answers, Answer{
 			Doc:   it.elem.Doc,
