@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-compare bench-parallel bench-pr3 bench-pr5 bench-pr6 bench-qps bench-pr8 bench-cluster bench-pr10 bench-suite-log test-telemetry test-segment test-frontdoor test-planner test-cluster test-json test-ingest fuzz soak soak-cluster ci run-serve-autopilot
+.PHONY: all build test race vet profile bench bench-compare bench-parallel bench-pr3 bench-pr5 bench-pr6 bench-qps bench-pr8 bench-cluster bench-pr10 bench-suite-log test-telemetry test-segment test-frontdoor test-planner test-cluster test-json test-ingest fuzz soak soak-cluster ci run-serve-autopilot
 
 all: build test
 
@@ -20,8 +20,29 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also guards the query path against the reflection sort and the
+# interface heap coming back: retrieval, the list iterators and query.go
+# sort with slices.SortFunc and sift their heaps with typed code (DESIGN.md,
+# "Merge pass").
+QUERY_PATH_GO = $(filter-out %_test.go,$(wildcard internal/retrieval/*.go internal/index/*.go)) query.go
 vet:
 	$(GO) vet ./...
+	@if grep -n -e 'sort\.Slice(' -e '"container/heap"' $(QUERY_PATH_GO); then \
+		echo 'vet: sort.Slice / container/heap on the query path (use slices.SortFunc and a typed sift)'; exit 1; \
+	fi
+
+# profile is the profile-led loop of ROADMAP item 3 as one command: run the
+# root `go test -bench` figures matching BENCH under the CPU and heap
+# profilers, leave the binary and both profiles in .bench_build/, and print
+# the cumulative CPU top. Look closer with
+#   go tool pprof -list 'MergeCtx' .bench_build/trex.test .bench_build/cpu.prof
+#   go tool pprof -sample_index=alloc_space -top .bench_build/trex.test .bench_build/mem.prof
+BENCH ?= Figure5Q260/merge
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -o .bench_build/trex.test \
+		-cpuprofile .bench_build/cpu.prof -memprofile .bench_build/mem.prof .
+	$(GO) tool pprof -top -cum -nodecount 40 .bench_build/trex.test .bench_build/cpu.prof
 
 # bench runs the repository's benchmark (BENCHMARK.json, benchmark/): all
 # four workloads, every end-to-end metric, the checker. BENCH_ARGS passes

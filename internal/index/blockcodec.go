@@ -1,10 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Block-encoded (v2) RPL/ERPL rows. The seed stored one B+tree row per
@@ -74,43 +75,33 @@ type ListRow struct {
 	EntryBytes []int
 }
 
-// rplEntryLess orders entries as the RPLs key does: (ir, sid, doc, end)
-// ascending, i.e. score descending.
-func rplEntryLess(a, b RPLEntry) bool {
-	ia, ib := invertScore(a.Score), invertScore(b.Score)
-	if ia != ib {
-		return ia < ib
+// compareRPLEntries orders entries as the RPLs key does: (ir, sid, doc,
+// end) ascending, i.e. score descending.
+func compareRPLEntries(a, b RPLEntry) int {
+	if c := cmp.Compare(invertScore(a.Score), invertScore(b.Score)); c != 0 {
+		return c
 	}
-	if a.SID != b.SID {
-		return a.SID < b.SID
-	}
-	if a.Doc != b.Doc {
-		return a.Doc < b.Doc
-	}
-	return a.End < b.End
+	return compareERPLEntries(a, b)
 }
 
-// erplEntryLess orders entries as the ERPLs key does: (sid, doc, end).
-func erplEntryLess(a, b RPLEntry) bool {
-	if a.SID != b.SID {
-		return a.SID < b.SID
+// compareERPLEntries orders entries as the ERPLs key does: (sid, doc, end).
+func compareERPLEntries(a, b RPLEntry) int {
+	if c := cmp.Compare(a.SID, b.SID); c != 0 {
+		return c
 	}
-	if a.Doc != b.Doc {
-		return a.Doc < b.Doc
-	}
-	return a.End < b.End
+	return CompareDocEnd(a.Doc, a.End, b.Doc, b.End)
 }
 
 // SortRPLEntriesScoreOrder sorts entries into RPL key order (score
 // descending with (sid, doc, end) tie-break).
 func SortRPLEntriesScoreOrder(entries []RPLEntry) {
-	sort.Slice(entries, func(i, j int) bool { return rplEntryLess(entries[i], entries[j]) })
+	slices.SortFunc(entries, compareRPLEntries)
 }
 
 // SortRPLEntriesPositionOrder sorts entries into ERPL key order
 // ((sid, doc, end) ascending).
 func SortRPLEntriesPositionOrder(entries []RPLEntry) {
-	sort.Slice(entries, func(i, j int) bool { return erplEntryLess(entries[i], entries[j]) })
+	slices.SortFunc(entries, compareERPLEntries)
 }
 
 // EncodeRPLBlocks encodes a term's entries into v2 block rows. It sorts
@@ -323,60 +314,74 @@ func rplRowCount(v []byte) (int, error) {
 	return r.blockCount(5)
 }
 
-// decodeERPLBlock decodes a v2 ERPL block value (including the leading
-// format byte) into its entries.
-func decodeERPLBlock(v []byte) ([]RPLEntry, error) {
+// decodeERPLBlockInto decodes a v2 ERPL block value (including the leading
+// format byte), appending its entries to dst: an iterator hands in the
+// buffer it owns, so a block costs no allocation once the buffer has grown
+// to block size.
+func decodeERPLBlockInto(dst []RPLEntry, v []byte) ([]RPLEntry, error) {
 	if len(v) < 1 || v[0] != listFormatBlock {
-		return nil, fmt.Errorf("index: bad ERPL block format")
+		return dst, fmt.Errorf("index: bad ERPL block format")
 	}
 	r := &uvReader{b: v[1:]}
 	count, err := r.blockCount(11)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	sid := r.uvarint()
 	r.uvarint() // maxDoc (skip metadata, not needed to decode)
 	r.uvarint() // maxEnd
 	if r.bad {
-		return nil, fmt.Errorf("index: truncated ERPL block header")
+		return dst, fmt.Errorf("index: truncated ERPL block header")
 	}
-	out := make([]RPLEntry, 0, count)
-	var prev RPLEntry
+	dst = slices.Grow(dst, count)
+	// The entry loop reads the payload through a local slice: one-byte
+	// varints (every delta inside a document, most lengths) take the short
+	// branch of uvarintHead, and the bad-input checks fold into one per
+	// entry.
+	b := r.b
+	var doc, end uint32
 	for i := 0; i < count; i++ {
-		var doc, end uint64
-		if i == 0 {
-			doc = r.uvarint()
-			end = r.uvarint()
-		} else {
-			docDelta := r.uvarint()
-			val := r.uvarint()
-			if docDelta == 0 {
-				doc = uint64(prev.Doc)
-				end = uint64(prev.End) + val
-			} else {
-				doc = uint64(prev.Doc) + docDelta
-				end = val
-			}
+		d, n1 := uvarintHead(b)
+		b = b[max(n1, 0):]
+		x, n2 := uvarintHead(b)
+		b = b[max(n2, 0):]
+		if n1 <= 0 || n2 <= 0 || len(b) < 9 {
+			return dst, fmt.Errorf("index: truncated ERPL block at entry %d", i)
 		}
-		scoreBits := r.uint64()
-		length := r.uvarint()
-		if r.bad {
-			return nil, fmt.Errorf("index: truncated ERPL block at entry %d", i)
+		switch {
+		case i == 0:
+			doc, end = uint32(d), uint32(x)
+		case d == 0:
+			end += uint32(x)
+		default:
+			doc, end = doc+uint32(d), uint32(x)
 		}
-		e := RPLEntry{
+		scoreBits := binary.BigEndian.Uint64(b)
+		length, n3 := uvarintHead(b[8:])
+		if n3 <= 0 {
+			return dst, fmt.Errorf("index: truncated ERPL block at entry %d", i)
+		}
+		b = b[8+n3:]
+		dst = append(dst, RPLEntry{
 			Score:  math.Float64frombits(scoreBits),
 			SID:    uint32(sid),
-			Doc:    uint32(doc),
-			End:    uint32(end),
+			Doc:    doc,
+			End:    end,
 			Length: uint32(length),
-		}
-		out = append(out, e)
-		prev = e
+		})
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("index: %d trailing bytes in ERPL block", len(r.b))
+	if len(b) != 0 {
+		return dst, fmt.Errorf("index: %d trailing bytes in ERPL block", len(b))
 	}
-	return out, nil
+	return dst, nil
+}
+
+// uvarintHead is binary.Uvarint with the one-byte case answered inline.
+func uvarintHead(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
 }
 
 // erplBlockBounds reads an ERPL block header's entry count and max
@@ -416,16 +421,17 @@ func decodeRPLRow(k, v []byte) ([]RPLEntry, error) {
 	return decodeRPLBlock(v)
 }
 
-// decodeERPLRow decodes a row of the ERPLs tree, v1 or v2.
-func decodeERPLRow(k, v []byte) ([]RPLEntry, error) {
+// decodeERPLRowInto decodes a row of the ERPLs tree, v1 or v2, appending
+// its entries to dst.
+func decodeERPLRowInto(dst []RPLEntry, k, v []byte) ([]RPLEntry, error) {
 	if len(v) == rplV1ValueLen {
 		_, e, err := decodeERPL(k, v)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return []RPLEntry{e}, nil
+		return append(dst, e), nil
 	}
-	return decodeERPLBlock(v)
+	return decodeERPLBlockInto(dst, v)
 }
 
 // erplRowStats returns the entry count and max (doc, end) of an ERPL row

@@ -1,9 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"trex/internal/corpus"
@@ -106,15 +107,11 @@ func BuildBase(s *Store, col *corpus.Collection, sum *summary.Summary) (*BuildSt
 	}
 
 	// Elements: bulk-load in (sid, doc, end) order.
-	sort.Slice(elems, func(i, j int) bool {
-		a, b := elems[i], elems[j]
-		if a.sid != b.sid {
-			return a.sid < b.sid
+	slices.SortFunc(elems, func(a, b elemRow) int {
+		if c := cmp.Compare(a.sid, b.sid); c != 0 {
+			return c
 		}
-		if a.doc != b.doc {
-			return a.doc < b.doc
-		}
-		return a.end < b.end
+		return CompareDocEnd(a.doc, a.end, b.doc, b.end)
 	})
 	ebl, err := s.Elements.NewBulkLoader(0)
 	if err != nil {
@@ -138,7 +135,7 @@ func BuildBase(s *Store, col *corpus.Collection, sum *summary.Summary) (*BuildSt
 	for t := range postings {
 		tokens = append(tokens, t)
 	}
-	sort.Strings(tokens)
+	slices.Sort(tokens)
 	pbl, err := s.Postings.NewBulkLoader(0)
 	if err != nil {
 		return nil, fmt.Errorf("index: PostingLists not empty: %w", err)

@@ -430,6 +430,10 @@ func (e RPLEntry) Element() Element {
 	return Element{SID: e.SID, Doc: e.Doc, End: e.End, Length: e.Length}
 }
 
+// docEnd packs the entry's (doc, end) identity into one integer that
+// orders as CompareDocEnd does.
+func (e *RPLEntry) docEnd() uint64 { return uint64(e.Doc)<<32 | uint64(e.End) }
+
 func rplKey(term string, e RPLEntry) []byte {
 	k := termPrefix(term)
 	var tail [20]byte
@@ -477,10 +481,13 @@ func erplKey(term string, e RPLEntry) []byte {
 }
 
 func erplSIDPrefix(term string, sid uint32) []byte {
-	k := termPrefix(term)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], sid)
-	return append(k, tail[:]...)
+	return appendERPLSIDPrefix(make([]byte, 0, len(term)+5), term, sid)
+}
+
+// appendERPLSIDPrefix appends the len(term)+5 bytes of erplSIDPrefix to dst.
+func appendERPLSIDPrefix(dst []byte, term string, sid uint32) []byte {
+	dst = append(append(dst, term...), 0)
+	return binary.BigEndian.AppendUint32(dst, sid)
 }
 
 func decodeERPL(k, v []byte) (string, RPLEntry, error) {

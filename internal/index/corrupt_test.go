@@ -153,8 +153,8 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 	}
 	for name, v := range truncations(erplVal) {
 		v := v
-		mustError(t, "decodeERPLRow", name, func() error {
-			_, err := decodeERPLRow(erplKey, v)
+		mustError(t, "decodeERPLRowInto", name, func() error {
+			_, err := decodeERPLRowInto(nil, erplKey, v)
 			return err
 		})
 	}
@@ -173,8 +173,8 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		_, err := decodeRPLRow([]byte("t\x00ab"), v1rpl)
 		return err
 	})
-	mustError(t, "decodeERPLRow", "short-key-v1", func() error {
-		_, err := decodeERPLRow([]byte("t\x00ab"), v1rpl)
+	mustError(t, "decodeERPLRowInto", "short-key-v1", func() error {
+		_, err := decodeERPLRowInto(nil, []byte("t\x00ab"), v1rpl)
 		return err
 	})
 	mustError(t, "decodeRPLBlock", "wrong-format-byte", func() error {
@@ -188,8 +188,8 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		_, err := decodeRPLBlock([]byte{0x02, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 2, 3, 4, 5, 6, 7, 8})
 		return err
 	})
-	mustError(t, "decodeERPLBlock", "huge-count", func() error {
-		_, err := decodeERPLBlock([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 1})
+	mustError(t, "decodeERPLBlockInto", "huge-count", func() error {
+		_, err := decodeERPLBlockInto(nil, []byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 1})
 		return err
 	})
 	mustError(t, "rplBlockMaxScore", "truncated-header", func() error {
@@ -231,10 +231,10 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("decodeERPLRow: panic on flipped byte %d: %v", i, r)
+					t.Errorf("decodeERPLRowInto: panic on flipped byte %d: %v", i, r)
 				}
 			}()
-			_, _ = decodeERPLRow(erplKey, bad)
+			_, _ = decodeERPLRowInto(nil, erplKey, bad)
 		}()
 	}
 }

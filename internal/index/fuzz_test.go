@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -57,6 +59,10 @@ func FuzzDecodeRPLRow(f *testing.F) {
 	})
 }
 
+// FuzzDecodeERPLRow drives the decoder the iterators use — it appends to a
+// buffer the caller owns — beside the allocating decoder it replaced, kept
+// below as the reference: on every input both fail or both return the same
+// entries, and whatever the buffer already held stays in front of them.
 func FuzzDecodeERPLRow(f *testing.F) {
 	rows := EncodeERPLBlocks("t", randEntries(20, 5))
 	for _, r := range rows {
@@ -64,10 +70,89 @@ func FuzzDecodeERPLRow(f *testing.F) {
 	}
 	f.Add([]byte("t\x00"), []byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{}, []byte{})
+	f.Add([]byte("0"), append([]byte("\x02\t00000\xff\xff"), bytes.Repeat([]byte("0"), 95)...)) // NaN scores
+	held := RPLEntry{Score: 1, SID: 2, Doc: 3, End: 4, Length: 5}
+	buf := make([]RPLEntry, 0, 4)
 	f.Fuzz(func(t *testing.T, k, v []byte) {
-		_, _ = decodeERPLRow(k, v)      // must not panic
-		_, _, _, _ = erplRowStats(k, v) // header reader, same contract
+		_, _, _, _ = erplRowStats(k, v) // header reader: must not panic
+		want, wantErr := referenceDecodeERPLRow(k, v)
+		got, err := decodeERPLRowInto(append(buf[:0], held), k, v)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("reusing decoder: %v, allocating decoder: %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if got[0] != held {
+			t.Fatalf("the buffer's entry was overwritten: %+v", got[0])
+		}
+		if err := entriesEqual(got[1:], want); err != nil {
+			t.Fatal(err)
+		}
+		buf = got // the next input decodes into what this one grew
 	})
+}
+
+// referenceDecodeERPLRow is the ERPL row decoder as it was while every
+// block was decoded into a slice of its own.
+func referenceDecodeERPLRow(k, v []byte) ([]RPLEntry, error) {
+	if len(v) == rplV1ValueLen {
+		_, e, err := decodeERPL(k, v)
+		if err != nil {
+			return nil, err
+		}
+		return []RPLEntry{e}, nil
+	}
+	if len(v) < 1 || v[0] != listFormatBlock {
+		return nil, fmt.Errorf("index: bad ERPL block format")
+	}
+	r := &uvReader{b: v[1:]}
+	count, err := r.blockCount(11)
+	if err != nil {
+		return nil, err
+	}
+	sid := r.uvarint()
+	r.uvarint() // maxDoc
+	r.uvarint() // maxEnd
+	if r.bad {
+		return nil, fmt.Errorf("index: truncated ERPL block header")
+	}
+	out := make([]RPLEntry, 0, count)
+	var prev RPLEntry
+	for i := 0; i < count; i++ {
+		var doc, end uint64
+		if i == 0 {
+			doc = r.uvarint()
+			end = r.uvarint()
+		} else {
+			docDelta := r.uvarint()
+			val := r.uvarint()
+			if docDelta == 0 {
+				doc = uint64(prev.Doc)
+				end = uint64(prev.End) + val
+			} else {
+				doc = uint64(prev.Doc) + docDelta
+				end = val
+			}
+		}
+		scoreBits := r.uint64()
+		length := r.uvarint()
+		if r.bad {
+			return nil, fmt.Errorf("index: truncated ERPL block at entry %d", i)
+		}
+		prev = RPLEntry{
+			Score:  math.Float64frombits(scoreBits),
+			SID:    uint32(sid),
+			Doc:    uint32(doc),
+			End:    uint32(end),
+			Length: uint32(length),
+		}
+		out = append(out, prev)
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("index: %d trailing bytes in ERPL block", len(r.b))
+	}
+	return out, nil
 }
 
 // FuzzBlockRoundTrip derives an entry list from the fuzz bytes and checks
@@ -112,17 +197,26 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			t.Fatalf("rpl round trip: %v", err)
 		}
 
+		// The ERPL side decodes every row twice: through the allocating
+		// reference decoder, and appended to one buffer across all rows.
 		SortRPLEntriesPositionOrder(want)
 		got = got[:0]
+		var reused []RPLEntry
 		for _, r := range EncodeERPLBlocks("t", append([]RPLEntry(nil), entries...)) {
-			dec, err := decodeERPLRow(r.Key, r.Value)
+			dec, err := referenceDecodeERPLRow(r.Key, r.Value)
 			if err != nil {
 				t.Fatalf("erpl decode: %v", err)
 			}
 			got = append(got, dec...)
+			if reused, err = decodeERPLRowInto(reused, r.Key, r.Value); err != nil {
+				t.Fatalf("erpl decode into the shared buffer: %v", err)
+			}
 		}
 		if err := entriesEqual(got, want); err != nil {
 			t.Fatalf("erpl round trip: %v", err)
+		}
+		if err := entriesEqual(reused, want); err != nil {
+			t.Fatalf("erpl round trip through the shared buffer: %v", err)
 		}
 	})
 }

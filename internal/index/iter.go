@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -243,18 +242,14 @@ func (it *RPLIterator) fill() error {
 			return err
 		}
 		it.curValid = false
-		it.mergePending(entries, rplEntryLess)
+		it.pending, it.pi = mergeRuns(it.pending, it.pi, entries, compareRPLEntries)
 	}
-}
-
-func (it *RPLIterator) mergePending(es []RPLEntry, less func(a, b RPLEntry) bool) {
-	it.pending, it.pi = mergeRuns(it.pending, it.pi, es, less)
 }
 
 // mergeRuns merges the unconsumed tail of a sorted pending buffer with a
 // freshly decoded sorted run. The common case — empty buffer — reuses the
 // decoded slice outright.
-func mergeRuns(pending []RPLEntry, pi int, es []RPLEntry, less func(a, b RPLEntry) bool) ([]RPLEntry, int) {
+func mergeRuns(pending []RPLEntry, pi int, es []RPLEntry, compare func(a, b RPLEntry) int) ([]RPLEntry, int) {
 	if pi >= len(pending) {
 		return es, 0
 	}
@@ -262,7 +257,7 @@ func mergeRuns(pending []RPLEntry, pi int, es []RPLEntry, less func(a, b RPLEntr
 	merged := make([]RPLEntry, 0, len(rem)+len(es))
 	i, j := 0, 0
 	for i < len(rem) && j < len(es) {
-		if less(es[j], rem[i]) {
+		if compare(es[j], rem[i]) < 0 {
 			merged = append(merged, es[j])
 			j++
 		} else {
@@ -310,6 +305,14 @@ func (it *RPLIterator) BlockMaxScore() (float64, bool, error) {
 // ERPLIterator walks the (term, sid) segment of an ERPL in position
 // order, with the same one-row-lookahead merge as RPLIterator (v1 rows
 // and v2 blocks may interleave).
+//
+// The iterator owns its entry buffer: each row is decoded into it in
+// place of the block it replaces, so a scan allocates only while the
+// buffer grows to block size. Whether the lookahead row can interleave
+// with the buffered entries is decided once per row, not once per entry:
+// fill compares the lookahead row's key with the buffer's last entry and
+// records in safe how far Next, Peek and DrainBelow may read without
+// coming back.
 type ERPLIterator struct {
 	prefix   []byte
 	cur      listCursor
@@ -318,6 +321,12 @@ type ERPLIterator struct {
 	done     bool
 	pending  []RPLEntry
 	pi       int
+	// safe bounds the buffered entries known to precede every unread row:
+	// pending[pi:safe] can be returned without consulting the cursor.
+	safe int
+	// scratch receives a row that has to be merged into a non-empty buffer
+	// (rows written by different runs interleaving).
+	scratch []RPLEntry
 	// RowsRead counts storage rows fetched.
 	RowsRead int
 }
@@ -337,67 +346,105 @@ func erplKeyTailLess(rest []byte, p RPLEntry) bool {
 	return beUint32(rest[4:8]) < p.End
 }
 
+// lookahead puts the next unread row under the cursor and returns its
+// (doc, end) key tail; ok is false once the segment is exhausted.
+func (it *ERPLIterator) lookahead() (rest []byte, ok bool, err error) {
+	if !it.curValid {
+		if it.done {
+			return nil, false, nil
+		}
+		if !it.started {
+			it.started = true
+			ok, err = it.cur.SeekPrefix(it.prefix)
+		} else {
+			ok, err = it.cur.NextPrefix(it.prefix)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			it.done = true
+			return nil, false, nil
+		}
+		it.curValid = true
+		it.RowsRead++
+	}
+	rest = it.cur.Key()[len(it.prefix):]
+	if len(rest) != 8 {
+		return nil, false, fmt.Errorf("index: bad ERPL key tail length %d", len(rest))
+	}
+	return rest, true, nil
+}
+
+// fill establishes the emit invariant — either the iterator is exhausted
+// (pi == safe == len(pending)), or pending[pi:safe] are the globally next
+// entries: no unread row can start before them.
 func (it *ERPLIterator) fill() error {
 	for {
 		if it.pi >= len(it.pending) {
 			it.pending = it.pending[:0]
 			it.pi = 0
 		}
-		if !it.curValid {
-			if it.done {
-				return nil
-			}
-			var ok bool
-			var err error
-			if !it.started {
-				it.started = true
-				ok, err = it.cur.SeekPrefix(it.prefix)
-			} else {
-				ok, err = it.cur.NextPrefix(it.prefix)
-			}
-			if err != nil {
-				return err
-			}
-			if !ok {
-				it.done = true
-				return nil
-			}
-			it.curValid = true
-			it.RowsRead++
-		}
-		rest := it.cur.Key()[len(it.prefix):]
-		if len(rest) != 8 {
-			return fmt.Errorf("index: bad ERPL key tail length %d", len(rest))
-		}
-		if it.pi < len(it.pending) && !erplKeyTailLess(rest, it.pending[it.pi]) {
-			return nil
-		}
-		entries, err := decodeERPLRow(it.cur.Key(), it.cur.Value())
+		rest, ok, err := it.lookahead()
 		if err != nil {
 			return err
 		}
-		it.curValid = false
-		it.pending, it.pi = mergeRuns(it.pending, it.pi, entries, erplEntryLess)
+		n := len(it.pending)
+		switch {
+		case !ok || (it.pi < n && !erplKeyTailLess(rest, it.pending[n-1])):
+			it.safe = n // nothing unread starts inside the buffer
+			return nil
+		case it.pi < n && !erplKeyTailLess(rest, it.pending[it.pi]):
+			it.safe = it.pi + 1 // the row starts inside the buffer, after its head
+			return nil
+		}
+		if err := it.decodeRow(); err != nil {
+			return err
+		}
 	}
+}
+
+// decodeRow decodes the row under the cursor into the buffer: in place
+// when every buffered entry has been returned, merged with the unreturned
+// tail otherwise. What the buffer then holds has yet to pass fill's check.
+func (it *ERPLIterator) decodeRow() error {
+	it.curValid = false
+	var err error
+	if it.pi >= len(it.pending) {
+		it.pi = 0
+		it.pending, err = decodeERPLRowInto(it.pending[:0], it.cur.Key(), it.cur.Value())
+	} else if it.scratch, err = decodeERPLRowInto(it.scratch[:0], it.cur.Key(), it.cur.Value()); err == nil {
+		it.pending, it.pi = mergeRuns(it.pending, it.pi, it.scratch, compareERPLEntries)
+	}
+	it.safe = it.pi
+	return err
+}
+
+// ready reports whether pending[pi] may be returned, filling the buffer
+// when the entries known to be safe have run out; false without an error
+// is the end of the segment.
+func (it *ERPLIterator) ready() (bool, error) {
+	if it.pi < it.safe {
+		return true, nil
+	}
+	err := it.fill()
+	return err == nil && it.pi < it.safe, err
 }
 
 // Peek returns the next entry without consuming it.
 func (it *ERPLIterator) Peek() (RPLEntry, bool, error) {
-	if err := it.fill(); err != nil {
+	if ok, err := it.ready(); !ok {
 		return RPLEntry{}, false, err
 	}
-	if it.pi < len(it.pending) {
-		return it.pending[it.pi], true, nil
-	}
-	return RPLEntry{}, false, nil
+	return it.pending[it.pi], true, nil
 }
 
 // Next returns the next entry in (doc, endpos) order; ok is false at end.
 func (it *ERPLIterator) Next() (RPLEntry, bool, error) {
-	e, ok, err := it.Peek()
-	if err != nil || !ok {
+	if ok, err := it.ready(); !ok {
 		return RPLEntry{}, false, err
 	}
+	e := it.pending[it.pi]
 	it.pi++
 	return e, true, nil
 }
@@ -408,18 +455,18 @@ func (it *ERPLIterator) Next() (RPLEntry, bool, error) {
 // the bulk path Merge's frontier skipping is built on.
 func (it *ERPLIterator) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry, error) {
 	for {
-		if err := it.fill(); err != nil {
+		if ok, err := it.ready(); !ok {
 			return out, err
 		}
-		if it.pi >= len(it.pending) {
+		i := it.pi
+		for i < it.safe && CompareDocEnd(it.pending[i].Doc, it.pending[i].End, doc, end) < 0 {
+			i++
+		}
+		out = append(out, it.pending[it.pi:i]...)
+		it.pi = i
+		if i < it.safe {
 			return out, nil
 		}
-		e := it.pending[it.pi]
-		if CompareDocEnd(e.Doc, e.End, doc, end) >= 0 {
-			return out, nil
-		}
-		out = append(out, e)
-		it.pi++
 	}
 }
 
@@ -433,36 +480,16 @@ func (it *ERPLIterator) SkipTo(doc, end uint32) (int, error) {
 	skipped := 0
 	target := RPLEntry{Doc: doc, End: end}
 	for {
-		// Drop already-decoded entries below the target.
+		// Drop already-decoded entries below the target; what remains has
+		// to pass fill's check against the lookahead row again.
 		for it.pi < len(it.pending) &&
 			CompareDocEnd(it.pending[it.pi].Doc, it.pending[it.pi].End, doc, end) < 0 {
 			it.pi++
 		}
-		if !it.curValid {
-			if it.done {
-				return skipped, nil
-			}
-			var ok bool
-			var err error
-			if !it.started {
-				it.started = true
-				ok, err = it.cur.SeekPrefix(it.prefix)
-			} else {
-				ok, err = it.cur.NextPrefix(it.prefix)
-			}
-			if err != nil {
-				return skipped, err
-			}
-			if !ok {
-				it.done = true
-				return skipped, nil
-			}
-			it.curValid = true
-			it.RowsRead++
-		}
-		rest := it.cur.Key()[len(it.prefix):]
-		if len(rest) != 8 {
-			return skipped, fmt.Errorf("index: bad ERPL key tail length %d", len(rest))
+		it.safe = it.pi
+		rest, ok, err := it.lookahead()
+		if err != nil || !ok {
+			return skipped, err
 		}
 		if !erplKeyTailLess(rest, target) {
 			// This row (and every later one) starts at or after the
@@ -482,38 +509,44 @@ func (it *ERPLIterator) SkipTo(doc, end uint32) (int, error) {
 		}
 		// The row straddles the target: decode it and let the drop loop
 		// discard its leading entries.
-		if err := it.fillRow(); err != nil {
+		if err := it.decodeRow(); err != nil {
 			return skipped, err
 		}
 	}
-}
-
-// fillRow decodes the row under the cursor into the pending buffer.
-func (it *ERPLIterator) fillRow() error {
-	entries, err := decodeERPLRow(it.cur.Key(), it.cur.Value())
-	if err != nil {
-		return err
-	}
-	it.curValid = false
-	it.pending, it.pi = mergeRuns(it.pending, it.pi, entries, erplEntryLess)
-	return nil
 }
 
 // TermERPL merges the per-(term, sid) ERPL segments of one term across a
 // sid set into a single position-ordered stream — the first merge step of
 // Section 4's two-step evaluation. It is the per-term list L_i that the
 // Merge algorithm (Figure 3) consumes.
+//
+// The streams sit in a binary min-heap on their head entries, kept with a
+// sift-down written for erplStream: an entry costs no interface dispatch
+// and no boxing.
 type TermERPL struct {
-	h     erplHeap
-	iters []*ERPLIterator
+	h     []erplStream
+	iters []ERPLIterator
 }
 
-// NewTermERPL opens iterators for every sid and primes the merge heap.
+type erplStream struct {
+	head RPLEntry
+	it   *ERPLIterator
+}
+
+// NewTermERPL opens iterators for every sid and primes the merge heap. The
+// iterators and their key prefixes are carved from one allocation each: a
+// query over a wildcard step opens dozens of streams per term.
 func NewTermERPL(s *Store, term string, sids []uint32) (*TermERPL, error) {
-	m := &TermERPL{}
-	for _, sid := range sids {
-		it := NewERPLIterator(s, term, sid)
-		m.iters = append(m.iters, it)
+	m := &TermERPL{
+		h:     make([]erplStream, 0, len(sids)),
+		iters: make([]ERPLIterator, len(sids)),
+	}
+	plen := len(term) + 5
+	prefixes := make([]byte, 0, plen*len(sids))
+	for i, sid := range sids {
+		prefixes = appendERPLSIDPrefix(prefixes, term, sid)
+		it := &m.iters[i]
+		it.prefix, it.cur = prefixes[i*plen:(i+1)*plen:(i+1)*plen], s.erplCursor()
 		e, ok, err := it.Next()
 		if err != nil {
 			return nil, err
@@ -522,42 +555,93 @@ func NewTermERPL(s *Store, term string, sids []uint32) (*TermERPL, error) {
 			m.h = append(m.h, erplStream{head: e, it: it})
 		}
 	}
-	heap.Init(&m.h)
+	m.heapify()
 	return m, nil
+}
+
+// heapify orders the streams as a min-heap on their heads.
+func (m *TermERPL) heapify() {
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+}
+
+// siftDown restores the heap order below slot i: the stream there sinks
+// past every child with a smaller head, the children moving up into the
+// hole it leaves.
+func (m *TermERPL) siftDown(i int) {
+	h := m.h
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	xKey := x.head.docEnd()
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		cKey := h[c].head.docEnd()
+		if r := c + 1; r < len(h) {
+			if rKey := h[r].head.docEnd(); rKey < cKey {
+				c, cKey = r, rKey
+			}
+		}
+		if cKey >= xKey {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// Head returns the next entry across all sids without consuming it, nil
+// once every stream is exhausted. It points into the heap: the next call
+// that consumes entries invalidates it.
+func (m *TermERPL) Head() *RPLEntry {
+	if len(m.h) == 0 {
+		return nil
+	}
+	return &m.h[0].head
+}
+
+// Advance consumes the head: the top stream's next entry replaces it (or
+// the stream drops out at its end) and the heap order is restored. It must
+// not be called on an exhausted merge.
+func (m *TermERPL) Advance() error {
+	top := &m.h[0]
+	e, ok, err := top.it.Next()
+	if err != nil {
+		return err
+	}
+	if ok {
+		top.head = e
+	} else {
+		last := len(m.h) - 1
+		m.h[0] = m.h[last]
+		m.h = m.h[:last]
+	}
+	m.siftDown(0)
+	return nil
 }
 
 // Next returns the next entry across all sids in (doc, endpos) order.
 func (m *TermERPL) Next() (RPLEntry, bool, error) {
-	if m.h.Len() == 0 {
+	if len(m.h) == 0 {
 		return RPLEntry{}, false, nil
 	}
-	top := m.h[0]
-	out := top.head
-	e, ok, err := top.it.Next()
-	if err != nil {
+	out := m.h[0].head
+	if err := m.Advance(); err != nil {
 		return RPLEntry{}, false, err
 	}
-	if ok {
-		m.h[0].head = e
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
-	}
 	return out, true, nil
-}
-
-// Peek returns the next entry without consuming it.
-func (m *TermERPL) Peek() (RPLEntry, bool) {
-	if m.h.Len() == 0 {
-		return RPLEntry{}, false
-	}
-	return m.h[0].head, true
 }
 
 // secondHead returns the smallest head excluding the heap top — the point
 // up to which the top stream can be drained without consulting the heap.
 func (m *TermERPL) secondHead() (RPLEntry, bool) {
-	switch m.h.Len() {
+	switch len(m.h) {
 	case 0, 1:
 		return RPLEntry{}, false
 	case 2:
@@ -574,9 +658,9 @@ func (m *TermERPL) secondHead() (RPLEntry, bool) {
 // DrainBelow appends to out every remaining entry whose (doc, end)
 // orders strictly before the bound, in stream order, consuming them. The
 // top stream is drained in bulk up to min(bound, second head), costing
-// one heap fix per drained run instead of one per entry.
+// one sift per drained run instead of one per entry.
 func (m *TermERPL) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry, error) {
-	for m.h.Len() > 0 {
+	for len(m.h) > 0 {
 		top := m.h[0]
 		if CompareDocEnd(top.head.Doc, top.head.End, doc, end) >= 0 {
 			break
@@ -591,15 +675,8 @@ func (m *TermERPL) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry, erro
 		if err != nil {
 			return out, err
 		}
-		e, ok, err := top.it.Next()
-		if err != nil {
+		if err := m.Advance(); err != nil {
 			return out, err
-		}
-		if ok {
-			m.h[0].head = e
-			heap.Fix(&m.h, 0)
-		} else {
-			heap.Pop(&m.h)
 		}
 	}
 	return out, nil
@@ -610,35 +687,29 @@ func (m *TermERPL) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry, erro
 // returns the number of entries skipped without being decoded.
 func (m *TermERPL) SkipTo(doc, end uint32) (int, error) {
 	skipped := 0
-	for i := range m.h {
-		s := &m.h[i]
-		if CompareDocEnd(s.head.Doc, s.head.End, doc, end) >= 0 {
-			continue
-		}
-		n, err := s.it.SkipTo(doc, end)
-		if err != nil {
-			return skipped, err
-		}
-		skipped += n
-	}
-	// Refresh heads that were passed by the skip and drop exhausted
-	// streams, then restore the heap order.
+	// Streams whose head the skip passed refresh it; exhausted ones drop
+	// out; the heap order is restored at the end.
 	live := m.h[:0]
 	for _, s := range m.h {
-		if CompareDocEnd(s.head.Doc, s.head.End, doc, end) >= 0 {
-			live = append(live, s)
-			continue
+		if CompareDocEnd(s.head.Doc, s.head.End, doc, end) < 0 {
+			n, err := s.it.SkipTo(doc, end)
+			if err != nil {
+				return skipped, err
+			}
+			skipped += n
+			e, ok, err := s.it.Next()
+			if err != nil {
+				return skipped, err
+			}
+			if !ok {
+				continue
+			}
+			s.head = e
 		}
-		e, ok, err := s.it.Next()
-		if err != nil {
-			return skipped, err
-		}
-		if ok {
-			live = append(live, erplStream{head: e, it: s.it})
-		}
+		live = append(live, s)
 	}
 	m.h = live
-	heap.Init(&m.h)
+	m.heapify()
 	return skipped, nil
 }
 
@@ -646,35 +717,10 @@ func (m *TermERPL) SkipTo(doc, end uint32) (int, error) {
 // cursor-step cost the block encoding amortizes.
 func (m *TermERPL) RowsRead() int {
 	total := 0
-	for _, it := range m.iters {
-		total += it.RowsRead
+	for i := range m.iters {
+		total += m.iters[i].RowsRead
 	}
 	return total
-}
-
-type erplStream struct {
-	head RPLEntry
-	it   *ERPLIterator
-}
-
-type erplHeap []erplStream
-
-func (h erplHeap) Len() int { return len(h) }
-func (h erplHeap) Less(i, j int) bool {
-	a, b := h[i].head, h[j].head
-	if a.Doc != b.Doc {
-		return a.Doc < b.Doc
-	}
-	return a.End < b.End
-}
-func (h erplHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *erplHeap) Push(x any)   { *h = append(*h, x.(erplStream)) }
-func (h *erplHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
 }
 
 // CompareDocEnd orders two (doc, end) element identities.

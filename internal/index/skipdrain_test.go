@@ -366,8 +366,8 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 		if _, err := m.SkipTo(10000, 0); err != nil {
 			t.Fatal(err)
 		}
-		if e, ok := m.Peek(); ok {
-			t.Fatalf("peek after full skip = %+v", e)
+		if e := m.Head(); e != nil {
+			t.Fatalf("head after full skip = %+v", *e)
 		}
 		out, err := m.DrainBelow(20000, 0, nil)
 		if err != nil || len(out) != 0 {
@@ -389,7 +389,7 @@ func TestEmptyTrailingBlockIsCorrupt(t *testing.T) {
 	// A hand-built trailing block row: valid header shape, zero entries.
 	tail := sdEnt(1, 9)
 	val := []byte{listFormatBlock}
-	val = binary.AppendUvarint(val, 0)               // count — invalid
+	val = binary.AppendUvarint(val, 0) // count — invalid
 	val = binary.AppendUvarint(val, uint64(tail.SID))
 	val = binary.AppendUvarint(val, uint64(tail.Doc))
 	val = binary.AppendUvarint(val, uint64(tail.End))
@@ -422,5 +422,45 @@ func TestEmptyTrailingBlockIsCorrupt(t *testing.T) {
 		t.Fatal("SkipTo read a count-0 block header without error")
 	} else if !strings.Contains(fmt.Sprint(err), "block count") {
 		t.Fatalf("SkipTo error %q does not name the block count", err)
+	}
+}
+
+// TestERPLNextDoesNotAllocate: once an iterator's buffer has grown to
+// block size, a scan decodes every further block into it — Next allocates
+// nothing per entry or per block, alone or under TermERPL's heap.
+func TestERPLNextDoesNotAllocate(t *testing.T) {
+	s := skipDrainStore(t)
+	const perSID = 40 * BlockTargetEntries
+	var entries []RPLEntry
+	for sid := uint32(1); sid <= 3; sid++ {
+		for i := uint32(0); i < perSID; i++ {
+			entries = append(entries, sdEnt(sid, 3*i+sid))
+		}
+	}
+	writeBlocks(t, s, KindERPL, "tt", entries)
+
+	it := NewERPLIterator(s, "tt", 2)
+	m, err := NewTermERPL(s, "tt", []uint32{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, next := range map[string]func() (RPLEntry, bool, error){"ERPLIterator": it.Next, "TermERPL": m.Next} {
+		for i := 0; i < 3*2*BlockTargetEntries; i++ { // two blocks of every stream: the buffers are warm
+			if _, ok, err := next(); err != nil || !ok {
+				t.Fatalf("%s: warm-up Next = %v, %v", name, ok, err)
+			}
+		}
+		// AllocsPerRun reports whole allocations per run, so a run spans a
+		// block of every stream: one allocation per block would show as one.
+		allocs := testing.AllocsPerRun(8, func() {
+			for i := 0; i < 3*BlockTargetEntries; i++ {
+				if _, ok, err := next(); err != nil || !ok {
+					t.Fatalf("%s: Next = %v, %v", name, ok, err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s.Next allocates %.0f times per %d entries on a warm buffer, want 0", name, allocs, 3*BlockTargetEntries)
+		}
 	}
 }

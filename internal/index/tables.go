@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"trex/internal/score"
@@ -223,7 +223,7 @@ func (s *Store) WriteListRows(kind ListKind, rows []ListRow) error {
 	if kind == KindERPL {
 		tree = s.ERPLs
 	}
-	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].Key, rows[j].Key) < 0 })
+	slices.SortFunc(rows, func(a, b ListRow) int { return bytes.Compare(a.Key, b.Key) })
 	bl, err := tree.NewBulkLoader(0)
 	if err == nil {
 		for _, r := range rows {

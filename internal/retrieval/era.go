@@ -2,7 +2,7 @@ package retrieval
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"trex/internal/index"
@@ -216,25 +216,15 @@ func ExhaustiveTopKCtx(ctx context.Context, st *index.Store, sids []uint32, term
 		}
 		return Scored{Elem: r.Elem, Score: total}
 	}
-	var out []Scored
-	if k > 0 && k < len(rows) {
-		// Only k answers survive, so select them through the bounded heap
-		// and sort those: same (score desc, doc, end) order as sorting
-		// everything. Its operations are not reported in Stats.HeapOps —
-		// CostProxy prices ERA's ranking as the final sort, and the
-		// advisor's plans are functions of that number.
-		h := &topKHeap{k: k, items: make(scoredMinHeap, 0, k)}
-		for _, r := range rows {
-			h.offer(scoreRow(r))
-		}
-		out = h.items
-	} else {
-		out = make([]Scored, 0, len(rows))
-		for _, r := range rows {
-			out = append(out, scoreRow(r))
-		}
+	keep := len(rows)
+	if k > 0 && k < keep {
+		keep = k
 	}
-	SortScored(out)
+	rank := ranking{k: k, items: make([]Scored, 0, keep)}
+	for _, r := range rows {
+		rank.add(scoreRow(r))
+	}
+	out := rank.sorted()
 	stats.Elapsed = time.Since(start)
 	return out, stats, nil
 }
@@ -242,10 +232,55 @@ func ExhaustiveTopKCtx(ctx context.Context, st *index.Store, sids []uint32, term
 // SortScored orders results by descending score, breaking ties by
 // (doc, endpos) ascending so every strategy ranks identically.
 func SortScored(s []Scored) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Score != s[j].Score {
-			return s[i].Score > s[j].Score
+	slices.SortFunc(s, compareScored)
+}
+
+// ranking collects a run's answers and hands back the k best in SortScored
+// order — all of them when k <= 0. With a positive k it never holds more
+// than k: the first k are kept as they come and heapified once, worst at
+// the root, and each later answer either loses to the root in one
+// comparison or replaces it. That is n comparisons and a sort of k instead
+// of a sort of n, and the same (score desc, doc, end) prefix. The heap's
+// operations are not reported in Stats.HeapOps: CostProxy prices ERA's and
+// Merge's ranking as the final sort, and the advisor's plans are functions
+// of that number.
+type ranking struct {
+	k     int
+	items []Scored
+	n     int // answers added, Stats.Answers
+}
+
+func (r *ranking) add(s Scored) {
+	r.n++
+	switch {
+	case r.k <= 0 || len(r.items) < r.k:
+		r.items = append(r.items, s)
+		if len(r.items) == r.k {
+			for i := r.k/2 - 1; i >= 0; i-- {
+				heapDown(r.items, i, scoredLess)
+			}
 		}
-		return index.CompareDocEnd(s[i].Elem.Doc, s[i].Elem.End, s[j].Elem.Doc, s[j].Elem.End) < 0
-	})
+	case scoredLess(r.items[0], s):
+		r.items[0] = s
+		heapDown(r.items, 0, scoredLess)
+	}
+}
+
+// sorted returns the kept answers best-first; the ranking is spent.
+func (r *ranking) sorted() []Scored {
+	SortScored(r.items)
+	return r.items
+}
+
+// compareScored is SortScored's order: the better answer compares lower.
+// (doc, end) identifies an element, so the order is total and an unstable
+// sort is deterministic.
+func compareScored(a, b Scored) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return index.CompareDocEnd(a.Elem.Doc, a.Elem.End, b.Elem.Doc, b.Elem.End)
 }

@@ -12,18 +12,20 @@ import (
 // term's ERPL segments for the query's sids are merged into one
 // position-ordered stream (the two-step evaluation of Section 4); Merge
 // then sweeps the streams in lockstep, summing the scores of every stream
-// positioned on the same element, and finally sorts the accumulated result
-// by score. Computing all answers first makes Merge's cost essentially
-// independent of k — the behavior the paper's figures show.
+// positioned on the same element, and ranks the accumulated result by
+// score. Every answer is computed before any is dropped, which makes
+// Merge's cost essentially independent of k — the behavior the paper's
+// figures show — but only the k best are ever held (see ranking).
 //
 // When exactly one stream holds the minimal element, every entry it can
 // produce below the other streams' heads is a single-term answer; those
 // runs are pulled through TermERPL.DrainBelow in bulk — entries inside an
 // already-decoded block cost neither a cursor step nor a per-entry
 // frontier scan (Stats.BlockSkips counts them). List totals are not
-// probed from the catalog up front: Merge always reads its lists to the
-// end, so ListTotals is just ListReads — stats collection costs no seeks
-// before retrieval starts.
+// probed from the catalog up front: a Merge that finishes has read its
+// lists to the end, so ListTotals is just ListReads — stats collection
+// costs no seeks before retrieval starts. Only a run the deadline cut
+// short looks the totals up.
 //
 // k <= 0 returns all answers.
 func Merge(st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
@@ -31,7 +33,7 @@ func Merge(st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *St
 }
 
 // MergeCtx is Merge with a cancellation/deadline context, polled every
-// few frontier steps. On an expired deadline it sorts whatever answers
+// few frontier steps. On an expired deadline it ranks whatever answers
 // the sweep has accumulated and returns them with Stats.Approximate
 // set; on cancellation it returns the context's error.
 func MergeCtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
@@ -44,29 +46,16 @@ func MergeCtx(ctx context.Context, st *index.Store, sids []uint32, terms []strin
 		return nil, stats, nil
 	}
 
-	type head struct {
-		entry index.RPLEntry
-		ok    bool
-	}
 	iters := make([]*index.TermERPL, n)
-	heads := make([]head, n)
 	for j, t := range terms {
 		it, err := index.NewTermERPL(st, t, sids)
 		if err != nil {
 			return nil, nil, err
 		}
 		iters[j] = it
-		e, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		heads[j] = head{entry: e, ok: ok}
-		if ok {
-			stats.ListReads[j]++
-		}
 	}
 
-	var v []Scored
+	rank := ranking{k: k}
 	var drainBuf []index.RPLEntry
 	for step := 0; ; step++ {
 		if step&mergePollMask == 0 {
@@ -77,94 +66,88 @@ func MergeCtx(ctx context.Context, st *index.Store, sids []uint32, terms []strin
 				break
 			}
 		}
-		// m: minimal (doc, end) among live heads.
-		min := -1
-		for j := range heads {
-			if !heads[j].ok {
-				continue
-			}
-			if min < 0 || index.CompareDocEnd(
-				heads[j].entry.Doc, heads[j].entry.End,
-				heads[min].entry.Doc, heads[min].entry.End) < 0 {
-				min = j
-			}
-		}
-		if min < 0 {
-			break // all iterators at their end
-		}
-		cur := heads[min].entry
-		// solo: no other live head sits on the same element; bound: the
-		// smallest other live head, up to which the min stream's entries
-		// are all single-term answers.
-		solo := true
+		// One scan of the frontier — the streams' heads, read in place —
+		// finds m, the first stream on the minimal (doc, end); whether
+		// another stream sits on the same element; and the bound, the
+		// smallest head past the minimum, below which m's entries are all
+		// single-term answers. A head that displaces the minimum leaves the
+		// old minimum as the bound: it was below every other head seen.
+		m, tied := -1, false
+		var cur *index.RPLEntry
 		boundDoc, boundEnd := uint32(math.MaxUint32), uint32(math.MaxUint32)
-		for j := range heads {
-			if j == min || !heads[j].ok {
+		for j := range iters {
+			e := iters[j].Head()
+			if e == nil {
 				continue
 			}
-			e := heads[j].entry
-			if index.CompareDocEnd(e.Doc, e.End, cur.Doc, cur.End) == 0 {
-				solo = false
+			c := -1
+			if cur != nil {
+				c = index.CompareDocEnd(e.Doc, e.End, cur.Doc, cur.End)
 			}
-			if index.CompareDocEnd(e.Doc, e.End, boundDoc, boundEnd) < 0 {
+			switch {
+			case c < 0:
+				if cur != nil {
+					boundDoc, boundEnd = cur.Doc, cur.End
+				}
+				m, tied, cur = j, false, e
+			case c == 0:
+				tied = true
+			case index.CompareDocEnd(e.Doc, e.End, boundDoc, boundEnd) < 0:
 				boundDoc, boundEnd = e.Doc, e.End
 			}
 		}
-		if solo {
-			v = append(v, Scored{Elem: cur.Element(), Score: cur.Score})
-			drainBuf = drainBuf[:0]
-			var err error
-			drainBuf, err = iters[min].DrainBelow(boundDoc, boundEnd, drainBuf)
-			if err != nil {
+		if cur == nil {
+			break // all iterators at their end
+		}
+		// Consume the element from every stream on it. They all come at or
+		// after m, and their scores add up in term order, as every method
+		// sums them.
+		elem := cur.Element()
+		var total float64
+		for j := m; j < n; j++ {
+			e := iters[j].Head()
+			if e == nil || index.CompareDocEnd(e.Doc, e.End, elem.Doc, elem.End) != 0 {
+				continue
+			}
+			total += e.Score
+			if err := iters[j].Advance(); err != nil {
 				return nil, nil, err
 			}
-			for _, e := range drainBuf {
-				v = append(v, Scored{Elem: e.Element(), Score: e.Score})
+			stats.ListReads[j]++
+			if !tied {
+				break
 			}
-			stats.ListReads[min] += len(drainBuf)
-			stats.BlockSkips += len(drainBuf)
-			e, ok, err := iters[min].Next()
-			if err != nil {
-				return nil, nil, err
-			}
-			heads[min] = head{entry: e, ok: ok}
-			if ok {
-				stats.ListReads[min]++
-			}
+		}
+		rank.add(Scored{Elem: elem, Score: total})
+		if tied {
 			continue
 		}
-		var total float64
-		for j := range heads {
-			if !heads[j].ok {
-				continue
-			}
-			if index.CompareDocEnd(heads[j].entry.Doc, heads[j].entry.End, cur.Doc, cur.End) != 0 {
-				continue
-			}
-			total += heads[j].entry.Score
-			e, ok, err := iters[j].Next()
-			if err != nil {
-				return nil, nil, err
-			}
-			heads[j] = head{entry: e, ok: ok}
-			if ok {
-				stats.ListReads[j]++
-			}
+		var err error
+		if drainBuf, err = iters[m].DrainBelow(boundDoc, boundEnd, drainBuf[:0]); err != nil {
+			return nil, nil, err
 		}
-		v = append(v, Scored{Elem: cur.Element(), Score: total})
+		for _, e := range drainBuf {
+			rank.add(Scored{Elem: e.Element(), Score: e.Score})
+		}
+		stats.ListReads[m] += len(drainBuf)
+		stats.BlockSkips += len(drainBuf)
 	}
 
 	for j := range iters {
-		// Merge is exhaustive, so what was read is the total — no
-		// up-front catalog probes needed (DepthFraction stays 1).
+		// A finished Merge has read everything, so what was read is the
+		// total (DepthFraction is 1). A truncated one reports the lists'
+		// real sizes: the depth it reached is the point of the number.
 		stats.ListTotals[j] = stats.ListReads[j]
+		if stats.Approximate {
+			var err error
+			if stats.ListTotals[j], err = builtTotal(st, index.KindERPL, terms[j], sids); err != nil {
+				return nil, nil, err
+			}
+		}
 		stats.CursorSteps += iters[j].RowsRead()
 	}
-	stats.Answers = len(v)
-	SortScored(v) // the paper uses QuickSort here
-	if k > 0 && len(v) > k {
-		v = v[:k]
-	}
+	stats.Answers = rank.n
+	v := rank.sorted() // the paper uses QuickSort here, over every answer
 	stats.captureIO(st, io)
 	stats.Elapsed = time.Since(start)
 	return v, stats, nil

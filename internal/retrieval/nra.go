@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"container/heap"
 	"context"
 	"time"
 
@@ -70,12 +69,9 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 		sidSet[s] = true
 	}
 	for j, t := range terms {
-		for _, s := range sids {
-			c, _, err := st.BuiltSize(index.KindRPL, t, s)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.ListTotals[j] += c
+		var err error
+		if stats.ListTotals[j], err = builtTotal(st, index.KindRPL, t, sids); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -87,6 +83,7 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 		iters[j] = index.NewRPLIterator(st, t)
 	}
 	cands := make(map[uint64]*nraCand)
+	var worstHeap []float64 // the stop test's scratch, reused across tests
 	elemKey := func(e index.Element) uint64 { return uint64(e.Doc)<<32 | uint64(e.End) }
 
 	absorb := func(j int, e index.RPLEntry) {
@@ -169,7 +166,8 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 			}
 		}
 		hs := time.Now()
-		stop := nraStop(cands, bounds, exhausted, k, n, stats)
+		var stop bool
+		stop, worstHeap = nraStop(cands, bounds, exhausted, k, n, stats, worstHeap[:0])
 		stats.HeapTime += time.Since(hs)
 		if stop {
 			stats.ThresholdStop = true
@@ -204,9 +202,12 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 // unseen element's best possible score) and every outside candidate's
 // best-score. The result is additionally exact when each top-k candidate
 // is resolved: every list has either yielded it or been exhausted.
-func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n int, stats *Stats) bool {
+//
+// h is the caller's scratch for the bounded heap; it is handed back, grown,
+// so one NRA run allocates it once.
+func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n int, stats *Stats, h []float64) (bool, []float64) {
 	if len(cands) < k {
-		return false
+		return false, h
 	}
 	var threshold float64
 	for j := range high {
@@ -215,19 +216,19 @@ func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n i
 		}
 	}
 	// k-th largest worst score via a bounded min-heap.
-	h := make(floatMinHeap, 0, k)
 	for _, c := range cands {
-		if h.Len() < k {
-			heap.Push(&h, c.worst)
+		if len(h) < k {
+			h = append(h, c.worst)
+			heapUp(h, len(h)-1, floatLess)
 		} else if c.worst > h[0] {
 			h[0] = c.worst
-			heap.Fix(&h, 0)
+			heapDown(h, 0, floatLess)
 		}
 		stats.HeapOps++
 	}
 	kth := h[0]
 	if kth <= threshold {
-		return false
+		return false, h
 	}
 	for _, c := range cands {
 		bestC := c.worst
@@ -240,27 +241,15 @@ func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n i
 		}
 		if c.worst >= kth {
 			if !resolved {
-				return false // a top-k candidate's score is still a bound
+				return false, h // a top-k candidate's score is still a bound
 			}
 			continue
 		}
 		if bestC >= kth {
-			return false // an outside candidate could still climb in
+			return false, h // an outside candidate could still climb in
 		}
 	}
-	return true
+	return true, h
 }
 
-type floatMinHeap []float64
-
-func (h floatMinHeap) Len() int           { return len(h) }
-func (h floatMinHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h floatMinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *floatMinHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *floatMinHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
-}
+func floatLess(a, b float64) bool { return a < b }

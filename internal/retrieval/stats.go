@@ -110,6 +110,20 @@ func (s *Stats) captureIO(st *index.Store, before index.IOStat) {
 		d.Storage.Flushes == 0 && d.SegmentSwaps == 0
 }
 
+// builtTotal sums the catalog's entry counts of term's lists of one kind
+// over the query's sids — a ListTotals cell.
+func builtTotal(st *index.Store, kind index.ListKind, term string, sids []uint32) (int, error) {
+	total := 0
+	for _, sid := range sids {
+		c, _, err := st.BuiltSize(kind, term, sid)
+		if err != nil {
+			return 0, err
+		}
+		total += c
+	}
+	return total, nil
+}
+
 // ITATime returns the paper's "ideal heap" time: total time with heap
 // management discounted.
 func (s *Stats) ITATime() time.Duration {
@@ -138,6 +152,15 @@ func (s *Stats) ITATime() time.Duration {
 // the leaf the iterator's cursor holds. While every advance was a
 // root-to-leaf descent with a fresh key the ratio was 238-249 over 13.6-17.5,
 // about 17, and the weight understated ERA's element visits sevenfold.
+//
+// An ERPL read counts as one read like an RPL read, and that is measured
+// too: index.erpl_next_ns on paper_grid is about 30 beside index.rpl_next_ns
+// 69, since the ERPL iterator decodes each block into the buffer it owns and
+// decides once per block whether its lookahead row can interleave (47-62
+// while every block was a fresh slice and every entry re-checked the row).
+// Merge's ranking is still priced as n log n below although it now selects
+// the k best in about n comparisons: the term is what the advisor's plans
+// were calibrated on, and Merge reads every list to the end either way.
 func (s *Stats) CostProxy() float64 {
 	reads := float64(s.PositionsScanned)
 	var listReads int

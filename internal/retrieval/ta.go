@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"container/heap"
 	"context"
 	"time"
 
@@ -43,12 +42,9 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 		sidSet[s] = true
 	}
 	for j, t := range terms {
-		for _, s := range sids {
-			c, _, err := st.BuiltSize(index.KindRPL, t, s)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.ListTotals[j] += c
+		var err error
+		if stats.ListTotals[j], err = builtTotal(st, index.KindRPL, t, sids); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -75,17 +71,21 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 	}
 
 	topk := newTopKHeap(k)
-	seen := make(map[uint64]bool)
-	elemKey := func(e index.Element) uint64 { return uint64(e.Doc)<<32 | uint64(e.End) }
+	// TA sees at least k elements before it can stop and rarely many times
+	// that, and never more than its lists hold (k is 1<<30 for a full
+	// evaluation); the set grows itself when a query reads deeper.
+	var listTotal int
+	for _, c := range stats.ListTotals {
+		listTotal += c
+	}
+	seen := newElemSet(min(listTotal, 4*k))
 	contrib := make([]float64, n)
 
 	processEntry := func(j int, e index.RPLEntry) error {
 		elem := e.Element()
-		key := elemKey(elem)
-		if seen[key] {
+		if !seen.add(uint64(elem.Doc)<<32 | uint64(elem.End)) {
 			return nil
 		}
-		seen[key] = true
 		// Sum contributions in term order (not arrival order) so scores
 		// are bit-identical across methods and ties rank consistently.
 		for jj, t := range terms {
@@ -214,7 +214,7 @@ func nextInSIDSet(it *index.RPLIterator, sidSet map[uint32]bool, stats *Stats, j
 // counts pushes and evictions so the cost model can expose that.
 type topKHeap struct {
 	k     int
-	items scoredMinHeap
+	items []Scored
 	ops   int
 }
 
@@ -222,7 +222,7 @@ func newTopKHeap(k int) *topKHeap {
 	return &topKHeap{k: k}
 }
 
-func (h *topKHeap) full() bool { return h.items.Len() >= h.k }
+func (h *topKHeap) full() bool { return len(h.items) >= h.k }
 
 // worst returns the k-th best score (the heap minimum); call only when
 // full() is true.
@@ -231,17 +231,15 @@ func (h *topKHeap) worst() float64 { return h.items[0].Score }
 // admits reports whether offer would keep the candidate: the heap has
 // room, or the candidate beats the current k-th best.
 func (h *topKHeap) admits(s Scored) bool {
-	return h.items.Len() < h.k || scoredLess(h.items[0], s)
+	return len(h.items) < h.k || scoredLess(h.items[0], s)
 }
 
 // offer inserts the candidate, evicting the current minimum if the heap is
 // full and the candidate beats it.
 func (h *topKHeap) offer(s Scored) {
-	if h.items.Len() < h.k {
-		// heap.Push without boxing the candidate: Fix on the last slot
-		// sifts it up exactly as Push would.
+	if len(h.items) < h.k {
 		h.items = append(h.items, s)
-		heap.Fix(&h.items, len(h.items)-1)
+		heapUp(h.items, len(h.items)-1, scoredLess)
 		h.ops++
 		return
 	}
@@ -249,7 +247,7 @@ func (h *topKHeap) offer(s Scored) {
 		return
 	}
 	h.items[0] = s
-	heap.Fix(&h.items, 0)
+	heapDown(h.items, 0, scoredLess)
 	h.ops += 2 // one removal + one insertion, as the paper counts them
 }
 
@@ -261,25 +259,96 @@ func (h *topKHeap) sorted() []Scored {
 	return out
 }
 
-// scoredLess orders candidates worst-first for the min-heap, with the
-// same deterministic tie-break SortScored uses (later (doc,end) is worse).
-func scoredLess(a, b Scored) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+// scoredLess orders candidates worst-first for the min-heap: the reverse of
+// SortScored's order, deterministic tie-break included (later (doc, end) is
+// worse).
+func scoredLess(a, b Scored) bool { return compareScored(a, b) > 0 }
+
+// heapUp and heapDown keep a slice ordered as a binary min-heap under less
+// — what container/heap's Push and Fix do, without its interface: no
+// dispatch per comparison and no boxing of the pushed value. heapUp sifts
+// h[i] toward the root after an append, heapDown sifts it toward the
+// leaves after the root was replaced.
+func heapUp[T any](h []T, i int, less func(a, b T) bool) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return index.CompareDocEnd(a.Elem.Doc, a.Elem.End, b.Elem.Doc, b.Elem.End) > 0
 }
 
-type scoredMinHeap []Scored
+func heapDown[T any](h []T, i int, less func(a, b T) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && less(h[r], h[c]) {
+			c = r
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
-func (h scoredMinHeap) Len() int           { return len(h) }
-func (h scoredMinHeap) Less(i, j int) bool { return scoredLess(h[i], h[j]) }
-func (h scoredMinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *scoredMinHeap) Push(x any)        { *h = append(*h, x.(Scored)) }
-func (h *scoredMinHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
+// elemSet is the set of (doc, end) element identities TA has already
+// scored: insert-only, open-addressed with linear probing over a
+// power-of-two table kept at most half full. A Go map spent more on
+// hashing and bucket growth than TA spent on the sorted accesses
+// themselves.
+type elemSet struct {
+	slots   []uint64 // 0 marks an empty slot; the zero key lives in hasZero
+	n       int
+	hasZero bool
+}
+
+// newElemSet sizes the table for hint keys without growing.
+func newElemSet(hint int) *elemSet {
+	size := 16
+	for size < 2*hint {
+		size *= 2
+	}
+	return &elemSet{slots: make([]uint64, size)}
+}
+
+// add inserts key and reports whether it was absent.
+func (s *elemSet) add(key uint64) bool {
+	if key == 0 {
+		absent := !s.hasZero
+		s.hasZero = true
+		return absent
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint64, 2*len(old))
+		for _, k := range old {
+			if k != 0 {
+				s.slots[s.probe(k)] = k
+			}
+		}
+	}
+	i := s.probe(key)
+	if s.slots[i] == key {
+		return false
+	}
+	s.slots[i] = key
+	s.n++
+	return true
+}
+
+// probe returns the slot holding key, or the empty slot where it belongs.
+func (s *elemSet) probe(key uint64) int {
+	mask := len(s.slots) - 1
+	// Fibonacci hashing: the high bits of the product mix doc and end.
+	i := int((key*0x9E3779B97F4A7C15)>>32) & mask
+	for s.slots[i] != 0 && s.slots[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -143,7 +142,7 @@ func flatten(tr *translate.Translation) (sids []uint32, terms []string) {
 		add(tr.Clauses[i].SIDs)
 	}
 	add(tr.TargetSIDs)
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
+	slices.Sort(sids)
 	return sids, tr.DistinctTerms()
 }
 
@@ -899,11 +898,13 @@ func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, n
 			Score: total,
 		})
 	}
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Score != answers[j].Score {
-			return answers[i].Score > answers[j].Score
+	// retrieval.SortScored's order: (doc, end) identifies an answer, so it
+	// is total.
+	slices.SortFunc(answers, func(a, b Answer) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return index.CompareDocEnd(answers[i].Doc, answers[i].End, answers[j].Doc, answers[j].End) < 0
+		return index.CompareDocEnd(a.Doc, a.End, b.Doc, b.End)
 	})
 	return answers, nil
 }
