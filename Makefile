@@ -34,7 +34,8 @@ vet:
 # profile is the profile-led loop of ROADMAP item 3 as one command: run the
 # root `go test -bench` figures matching BENCH under the CPU and heap
 # profilers, leave the binary and both profiles in .bench_build/, and print
-# the cumulative CPU top. Look closer with
+# the cumulative CPU top. BENCH=ReplanAfterCommit profiles the write path's
+# re-plan (what the benchmark's replan_p50_ms times). Look closer with
 #   go tool pprof -list 'MergeCtx' .bench_build/trex.test .bench_build/cpu.prof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/trex.test .bench_build/mem.prof
 BENCH ?= Figure5Q260/merge
@@ -200,13 +201,14 @@ test-ingest:
 	$(GO) test ./internal/cluster -run 'TestClusterStreamingIngestConvergesEpochs' -race -count=1
 	$(GO) test ./internal/webapi -run 'TestIngest' -count=1
 
-# fuzz gives each fuzz target — the list and posting codecs, the cursor's
-# forward seek, the segment reader, the JSON mapping — a short bounded run:
+# fuzz gives each fuzz target — the list and posting codecs, the list
+# build's radix sort, the cursor's forward seek, the segment reader, the JSON
+# mapping — a short bounded run:
 # long enough to catch a regression, short enough for CI. The loop fails
 # fast: the first red target stops the run instead of burning the
 # remaining fuzz budget on a build that is already broken.
 FUZZTIME ?= 5s
-FUZZ_TARGETS = FuzzDecodePostingValue FuzzDecodeRPLRow FuzzDecodeERPLRow FuzzBlockRoundTrip
+FUZZ_TARGETS = FuzzDecodePostingValue FuzzDecodeRPLRow FuzzDecodeERPLRow FuzzBlockRoundTrip FuzzRadixScoreOrder
 STORAGE_FUZZ_TARGETS = FuzzCursorSeekForward
 SEGMENT_FUZZ_TARGETS = FuzzReader
 JSON_FUZZ_TARGETS = FuzzJSONToElements

@@ -257,6 +257,11 @@ func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lis
 		return nil, fmt.Errorf("trex: workload query %q: %w", wq.NEXI, err)
 	}
 	sids, terms := flatten(tr)
+	// eraStats is the build's own ERA pass when the lists are built here:
+	// ExhaustiveTopKCtx would sweep the same base tables and count the same
+	// positions, elements, list reads and answers, which is all CostProxy
+	// reads.
+	var eraStats *retrieval.Stats
 	sc, err := e.store.NewScorer(terms)
 	if err == nil {
 		// Steady-state autopilot runs re-measure a workload whose lists
@@ -266,7 +271,10 @@ func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lis
 			erpl, err = e.store.Covered(index.KindERPL, terms, sids)
 		}
 		if err == nil && !(rpl && erpl) {
-			_, err = retrieval.Materialize(e.store, sids, terms, sc, index.KindRPL, index.KindERPL)
+			var ms *retrieval.MaterializeStats
+			if ms, err = retrieval.Materialize(e.store, sids, terms, sc, index.KindRPL, index.KindERPL); err == nil {
+				eraStats = ms.ERA
+			}
 		}
 	}
 	e.endWrite()
@@ -280,9 +288,10 @@ func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lis
 	if k <= 0 {
 		k = DefaultK
 	}
-	_, eraStats, err := retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, k)
-	if err != nil {
-		return &selfmanage.QuerySpec{}, err
+	if eraStats == nil {
+		if _, eraStats, err = retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, k); err != nil {
+			return &selfmanage.QuerySpec{}, err
+		}
 	}
 	_, taStats, err := retrieval.TACtx(ctx, e.store, sids, terms, sc, k)
 	if err != nil {

@@ -2,6 +2,7 @@ package trex
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"trex/internal/corpus"
@@ -201,4 +202,53 @@ func TestSelfManageQueriesStillCorrectAfterPlan(t *testing.T) {
 		}
 	}
 	_ = corpus.StyleIEEE
+}
+
+// TestSelfManagePricesERAFromTheBuildPass: when SelfManage builds a query's
+// lists it prices ERA from the build's own ERA pass instead of running
+// ExhaustiveTopKCtx again. The report — every query's TimeERA, TimeTA and
+// TimeMerge, the plan, the kept and dropped lists and the planner's
+// routing — must be what an engine whose lists were all built beforehand
+// reports, where every ERA price comes from a fresh ExhaustiveTopKCtx. The
+// second query's lists are a subset of the first's, so the first engine
+// also prices one query the fresh way.
+func TestSelfManagePricesERAFromTheBuildPass(t *testing.T) {
+	workload := []WorkloadQuery{
+		{NEXI: `//article//sec[about(., ontologies case study)]`, Freq: 0.4, K: 10},
+		{NEXI: `//article//sec[about(., ontologies)]`, Freq: 0.2, K: 5},
+		{NEXI: `//article[about(., xml query evaluation)]`, Freq: 0.3, K: 10},
+		{NEXI: `//bdy//*[about(., model checking state space)]`, Freq: 0.1, K: 100},
+	}
+	built := testEngine(t, 40, 17)
+	prebuilt := testEngine(t, 40, 17)
+	for _, q := range workload {
+		if _, err := prebuilt.Materialize(q.NEXI, index.KindRPL, index.KindERPL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 60000
+	got, err := built.SelfManage(workload, budget, SolverGreedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := prebuilt.SelfManage(workload, budget, SolverGreedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range got.Workload.Queries {
+		w := want.Workload.Queries[i]
+		if q.TimeERA != w.TimeERA || q.TimeTA != w.TimeTA || q.TimeMerge != w.TimeMerge {
+			t.Fatalf("query %d: ERA/TA/Merge cost %v/%v/%v, priced fresh %v/%v/%v",
+				i, q.TimeERA, q.TimeTA, q.TimeMerge, w.TimeERA, w.TimeTA, w.TimeMerge)
+		}
+	}
+	if !reflect.DeepEqual(got.Workload, want.Workload) || !reflect.DeepEqual(got.Plan, want.Plan) ||
+		!reflect.DeepEqual(got.KeptLists, want.KeptLists) || !reflect.DeepEqual(got.DroppedLists, want.DroppedLists) ||
+		!reflect.DeepEqual(got.Routed, want.Routed) || got.DroppedEntries != want.DroppedEntries {
+		t.Fatalf("reports differ:\n build pass %+v\n fresh ERA  %+v", got, want)
+	}
+	if len(got.KeptLists) == 0 || len(got.DroppedLists) == 0 {
+		t.Fatalf("fixture: the budget should keep some lists and drop others (kept %d, dropped %d)",
+			len(got.KeptLists), len(got.DroppedLists))
+	}
 }

@@ -197,12 +197,66 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := eng.Materialize(q); err != nil {
+		if _, err := eng.Materialize(q, index.KindRPL, index.KindERPL); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
 		eng.Close()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkReplanAfterCommit measures one write cycle's re-plan — what the
+// benchmark's replan_p50_ms times: after an 8-document commit has dropped
+// every list, SelfManage re-materializes and re-measures the five IEEE
+// Table 1 queries on a 1,500-document generated IEEE collection (the size
+// of paper_grid's). Only SelfManage is timed; the commit before it is not.
+// `make profile BENCH=ReplanAfterCommit` profiles it.
+func BenchmarkReplanAfterCommit(b *testing.B) {
+	const initial, batch = 1500, 8
+	col := corpus.Generate(corpus.Config{Style: corpus.StyleIEEE, Docs: initial + 32*batch, Seed: 20070415})
+	tail := col.Docs[initial:]
+	col.Docs = col.Docs[:initial]
+	eng, err := trex.CreateMemory(col, &trex.Options{SegmentLists: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	var workload []trex.WorkloadQuery
+	for _, q := range []string{
+		`//article[about(., ontologies)]//sec[about(., ontologies case study)]`,
+		`//sec[about(., code signing verification)]`,
+		`//article[about(.//bdy, synthesizers) and about(.//bdy, music)]`,
+		`//bdy//*[about(., model checking state space explosion)]`,
+		`//article//sec[about(., introduction information retrieval)]`,
+	} {
+		workload = append(workload, trex.WorkloadQuery{NEXI: q, Freq: 1, K: 10})
+	}
+	const budget = 1 << 60
+	if _, err := eng.SelfManage(workload, budget, trex.SolverGreedy); err != nil {
+		b.Fatal(err)
+	}
+	ing := eng.NewIngestor()
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < batch; j++ {
+			// Past the generated tail the documents repeat; each Add is a
+			// new document all the same.
+			if err := ing.Add(tail[next%len(tail)].Data); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		if _, err := ing.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := eng.SelfManage(workload, budget, trex.SolverGreedy); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package trex
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"trex/internal/corpus"
 	"trex/internal/index"
+	"trex/internal/retrieval"
 	"trex/internal/summary"
 )
 
@@ -394,6 +396,28 @@ func TestEngineBackup(t *testing.T) {
 	for i := range want.Answers {
 		if got.Answers[i] != want.Answers[i] {
 			t.Fatalf("backup answer %d differs", i)
+		}
+	}
+}
+
+// TestMaterializeWithoutKindsIsRejected: Materialize with no list kind used
+// to score every element, write nothing, commit and flush, and report
+// success. It is an error now, before the engine reads or writes a page
+// or marks a list.
+func TestMaterializeWithoutKindsIsRejected(t *testing.T) {
+	eng := testEngine(t, 20, 5)
+	const q = `//article//sec[about(., ontologies case study)]`
+	before := eng.DB().Stats()
+	if ms, err := eng.Materialize(q); !errors.Is(err, retrieval.ErrNoListKinds) || ms != nil {
+		t.Fatalf("Materialize with no kinds = (%v, %v), want ErrNoListKinds", ms, err)
+	}
+	d := eng.DB().Stats().Sub(before)
+	if d.CacheHits+d.CacheMisses != 0 || d.Puts != 0 || d.PagesWritten != 0 || d.Flushes != 0 {
+		t.Fatalf("a rejected Materialize touched the database: %+v", d)
+	}
+	for _, m := range []Method{MethodTA, MethodMerge} {
+		if ok, err := eng.CanUse(q, m); err != nil || ok {
+			t.Fatalf("CanUse(%v) = (%v, %v) after a rejected Materialize", m, ok, err)
 		}
 	}
 }

@@ -67,7 +67,8 @@ const blockSoftMaxBytes = 2048
 // per-entry byte attribution the catalog needs: EntryBytes[i] is entry
 // i's share of len(Key)+len(Value) (header and key bytes are attributed
 // to the first entry), so per-(term, sid) sizes sum exactly to the
-// encoded footprint.
+// encoded footprint. Entries is the row's run of the slice handed to the
+// encoder, not a copy.
 type ListRow struct {
 	Key        []byte
 	Value      []byte
@@ -104,16 +105,80 @@ func SortRPLEntriesPositionOrder(entries []RPLEntry) {
 	slices.SortFunc(entries, compareERPLEntries)
 }
 
-// EncodeRPLBlocks encodes a term's entries into v2 block rows. It sorts
-// entries into score order in place; the returned rows carry ascending,
-// non-overlapping keys suitable for the bulk loader.
+// RadixScoreOrder writes entries, which should be in ERPL key order, to dst
+// in RPL key order. It is a stable LSD radix sort on the inverted score, one
+// byte per pass, so entries of equal score keep their (sid, doc, end) order:
+// score descending, then (sid, doc, end), without a comparison. A byte every
+// key shares costs no pass. The passes alternate between dst and scratch,
+// starting on whichever makes the last one land in dst; both must hold
+// len(entries) entries, and entries is not modified. Given entries in any
+// other order, dst is ordered by score alone and EncodeRPLBlocks sorts it.
+func RadixScoreOrder(dst, scratch, entries []RPLEntry) {
+	n := len(entries)
+	if n == 0 {
+		return
+	}
+	dst, scratch = dst[:n], scratch[:n]
+	var counts [8][256]int
+	for i := range entries {
+		k := invertScore(entries[i].Score)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	first := invertScore(entries[0].Score)
+	passes := 0
+	for d := range counts {
+		if counts[d][byte(first>>(8*d))] != n {
+			passes++
+		}
+	}
+	if passes == 0 {
+		copy(dst, entries)
+		return
+	}
+	bufs := [2][]RPLEntry{dst, scratch}
+	if passes%2 == 0 {
+		bufs = [2][]RPLEntry{scratch, dst}
+	}
+	src, pass := entries, 0
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte(first>>shift)] == n {
+			continue
+		}
+		for i, sum := 0, 0; i < len(c); i++ {
+			c[i], sum = sum, sum+c[i]
+		}
+		to := bufs[pass%2]
+		for i := range src {
+			b := byte(invertScore(src[i].Score) >> shift)
+			to[c[b]] = src[i]
+			c[b]++
+		}
+		src, pass = to, pass+1
+	}
+}
+
+// EncodeRPLBlocks encodes a term's entries into v2 block rows. Entries
+// already in score order, as RadixScoreOrder writes them, cost one O(n)
+// check; any others are sorted in place first. The returned rows carry
+// ascending, non-overlapping keys suitable for the bulk loader.
 func EncodeRPLBlocks(term string, entries []RPLEntry) []ListRow {
-	SortRPLEntriesScoreOrder(entries)
-	var rows []ListRow
+	if len(entries) == 0 {
+		return nil
+	}
+	if !slices.IsSortedFunc(entries, compareRPLEntries) {
+		SortRPLEntriesScoreOrder(entries)
+	}
+	rows := make([]ListRow, 0, len(entries)/BlockTargetEntries+1)
+	payload := make([]byte, 0, 8*BlockTargetEntries)
+	shares := make([]int, len(entries)) // the rows' EntryBytes, in order
 	for len(entries) > 0 {
 		maxIR := invertScore(entries[0].Score)
-		payload := make([]byte, 0, 8*BlockTargetEntries)
-		sizes := make([]int, 0, BlockTargetEntries)
+		payload = payload[:0]
+		sizes := shares[:0:len(shares)]
 		n := 0
 		for n < len(entries) && n < BlockTargetEntries && len(payload) < blockSoftMaxBytes {
 			e := entries[n]
@@ -137,24 +202,32 @@ func EncodeRPLBlocks(term string, entries []RPLEntry) []ListRow {
 		rows = append(rows, ListRow{
 			Key:        key,
 			Value:      val,
-			Entries:    append([]RPLEntry(nil), entries[:n]...),
-			EntryBytes: sizes,
+			Entries:    entries[:n:n],
+			EntryBytes: sizes[:n:n],
 		})
-		entries = entries[n:]
+		entries, shares = entries[n:], shares[n:]
 	}
 	return rows
 }
 
-// EncodeERPLBlocks encodes a term's entries into v2 ERPL block rows. It
-// sorts entries into position order in place and seals blocks at sid
-// boundaries, so every block holds a single sid.
+// EncodeERPLBlocks encodes a term's entries into v2 ERPL block rows and
+// seals blocks at sid boundaries, so every block holds a single sid.
+// Entries already in position order cost one O(n) check; any others are
+// sorted in place first.
 func EncodeERPLBlocks(term string, entries []RPLEntry) []ListRow {
-	SortRPLEntriesPositionOrder(entries)
-	var rows []ListRow
+	if len(entries) == 0 {
+		return nil
+	}
+	if !slices.IsSortedFunc(entries, compareERPLEntries) {
+		SortRPLEntriesPositionOrder(entries)
+	}
+	rows := make([]ListRow, 0, len(entries)/BlockTargetEntries+1)
+	payload := make([]byte, 0, 16*BlockTargetEntries)
+	shares := make([]int, len(entries)) // the rows' EntryBytes, in order
 	for len(entries) > 0 {
 		sid := entries[0].SID
-		payload := make([]byte, 0, 16*BlockTargetEntries)
-		sizes := make([]int, 0, BlockTargetEntries)
+		payload = payload[:0]
+		sizes := shares[:0:len(shares)]
 		n := 0
 		var prev RPLEntry
 		for n < len(entries) && n < BlockTargetEntries && len(payload) < blockSoftMaxBytes {
@@ -193,10 +266,10 @@ func EncodeERPLBlocks(term string, entries []RPLEntry) []ListRow {
 		rows = append(rows, ListRow{
 			Key:        key,
 			Value:      val,
-			Entries:    append([]RPLEntry(nil), entries[:n]...),
-			EntryBytes: sizes,
+			Entries:    entries[:n:n],
+			EntryBytes: sizes[:n:n],
 		})
-		entries = entries[n:]
+		entries, shares = entries[n:], shares[n:]
 	}
 	return rows
 }

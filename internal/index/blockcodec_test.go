@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"trex/internal/storage"
@@ -468,6 +470,75 @@ func TestDropListOverBlocks(t *testing.T) {
 		if count != wantN {
 			t.Fatalf("ERPL sid %d: %d entries, want %d", sid, count, wantN)
 		}
+	}
+}
+
+// TestDropERPLOneSIDLeavesTheRestByteIdentical drops one sid of a term
+// whose ERPL rows span four sids, beside a term that extends its name
+// ("xml" and "xmlx") and a v1 row of the same sid: exactly that sid's
+// rows of that term go, the count is their entries, the catalog loses only
+// that record, and every other row of both trees keeps its key and value
+// bytes.
+func TestDropERPLOneSIDLeavesTheRestByteIdentical(t *testing.T) {
+	st := openEmptyStore(t)
+	type row struct{ k, v string }
+	snapshot := func(tree *storage.Tree) []row {
+		var out []row
+		c := tree.Cursor()
+		ok, err := c.First()
+		for ; ok; ok, err = c.Next() {
+			out = append(out, row{string(c.Key()), string(c.Value())})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const term, sid = "xml", 3
+	entries := randEntries(900, 31)
+	perSID := make(map[uint32]int)
+	for _, e := range entries {
+		perSID[e.SID]++
+	}
+	writeBlocks(t, st, KindERPL, term, slices.Clone(entries))
+	writeBlocks(t, st, KindERPL, "xmlx", randEntries(300, 32))
+	if err := st.PutERPL("xml", RPLEntry{Score: 2, SID: sid, Doc: 9999, End: 1, Length: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for s, n := range perSID {
+		if err := st.MarkBuilt(KindERPL, term, s, n, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.MarkBuilt(KindERPL, "xmlx", s, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	beforeRows, beforeCatalog := snapshot(st.ERPLs), snapshot(st.Catalog)
+
+	n, err := st.DropList(KindERPL, term, sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := perSID[sid] + 1; n != want {
+		t.Fatalf("dropped %d entries, want %d", n, want)
+	}
+	prefix := string(erplSIDPrefix(term, sid))
+	var wantRows []row
+	for _, r := range beforeRows {
+		if !strings.HasPrefix(r.k, prefix) {
+			wantRows = append(wantRows, r)
+		}
+	}
+	if len(wantRows) == len(beforeRows) {
+		t.Fatal("fixture: the sid has no rows")
+	}
+	if got := snapshot(st.ERPLs); !slices.Equal(got, wantRows) {
+		t.Fatalf("%d rows survive the drop, want %d byte-identical rows", len(got), len(wantRows))
+	}
+	dropped := string(catalogKey(KindERPL, term, sid))
+	wantCatalog := slices.DeleteFunc(slices.Clone(beforeCatalog), func(r row) bool { return r.k == dropped })
+	if got := snapshot(st.Catalog); !slices.Equal(got, wantCatalog) || len(wantCatalog) != len(beforeCatalog)-1 {
+		t.Fatalf("catalog after the drop: %d records, want %d", len(got), len(wantCatalog))
 	}
 }
 

@@ -435,7 +435,7 @@ func (e RPLEntry) Element() Element {
 func (e *RPLEntry) docEnd() uint64 { return uint64(e.Doc)<<32 | uint64(e.End) }
 
 func rplKey(term string, e RPLEntry) []byte {
-	k := termPrefix(term)
+	k := termKey(term, 20)
 	var tail [20]byte
 	binary.BigEndian.PutUint64(tail[0:8], invertScore(e.Score))
 	binary.BigEndian.PutUint32(tail[8:12], e.SID)
@@ -472,7 +472,7 @@ func decodeRPL(k, v []byte) (string, RPLEntry, error) {
 // --- ERPLs codec: key = token.sid.doc.end, value = (score, length) ---
 
 func erplKey(term string, e RPLEntry) []byte {
-	k := termPrefix(term)
+	k := termKey(term, 12)
 	var tail [12]byte
 	binary.BigEndian.PutUint32(tail[0:4], e.SID)
 	binary.BigEndian.PutUint32(tail[4:8], e.Doc)

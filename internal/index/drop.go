@@ -27,22 +27,20 @@ func (s *Store) DropList(kind ListKind, term string, sid uint32) (int, error) {
 }
 
 func (s *Store) dropERPL(term string, sid uint32) (int, error) {
+	// ERPL keys are term \0 sid doc end, so the sid's rows are exactly the
+	// (doc, end) tails under its prefix; no other sid's row is visited.
 	// Collect matching keys first: deleting while iterating would
 	// invalidate the cursor.
 	var keys [][]byte
 	dropped := 0
-	prefix := termPrefix(term)
+	prefix := erplSIDPrefix(term, sid)
 	cur := s.ERPLs.Cursor()
 	ok, err := cur.SeekPrefix(prefix)
 	if err != nil {
 		return 0, err
 	}
 	for ; ok; ok, err = cur.NextPrefix(prefix) {
-		rest := cur.Key()[len(prefix):]
-		if len(rest) != 12 {
-			continue
-		}
-		if binary.BigEndian.Uint32(rest[0:4]) != sid {
+		if len(cur.Key()) != len(prefix)+8 {
 			continue
 		}
 		n, _, _, err := erplRowStats(cur.Key(), cur.Value())

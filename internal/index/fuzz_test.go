@@ -2,9 +2,11 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -153,6 +155,78 @@ func referenceDecodeERPLRow(k, v []byte) ([]RPLEntry, error) {
 		return nil, fmt.Errorf("index: %d trailing bytes in ERPL block", len(r.b))
 	}
 	return out, nil
+}
+
+// FuzzRadixScoreOrder holds RadixScoreOrder to a stable comparison sort on
+// the inverted score: on every input both leave the same entries in the
+// same order, bit for bit, and the input is left as it was. Scores come
+// from the bytes in four regimes — raw bits (NaN included), a handful of
+// special values (negative and clamped to 0, -0 and +0, 1 and its ULP
+// neighbours), coarse ties, and a few ULPs around one value — so the digits
+// that differ sit in every byte the sort passes over. Entries already in
+// position order must come out in full RPL key order.
+func FuzzRadixScoreOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 7, 9}, 40))
+	f.Add([]byte{
+		1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, // -1
+		1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, // -0
+		1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3, // +0
+		1, 4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, // 1 - ULP
+		1, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, // 1 + ULP
+		3, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 3,
+		2, 0xf8, 0, 0, 0, 0, 0, 0, 0, 3, 0, 4, // -2
+		0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 3, 0, 5, // NaN
+	})
+	one := math.Float64bits(1)
+	special := []float64{-1, math.Copysign(0, -1), 0, 1, math.Float64frombits(one - 1), math.Float64frombits(one + 1), 3.25, 1e300}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var entries []RPLEntry
+		for len(data) >= 12 && len(entries) < 4*BlockTargetEntries {
+			var s float64
+			switch data[0] % 4 {
+			case 0:
+				s = math.Float64frombits(binary.LittleEndian.Uint64(data[1:9]))
+			case 1:
+				s = special[int(data[1])%len(special)]
+			case 2:
+				s = float64(int8(data[1])) / 4
+			default:
+				s = math.Float64frombits(math.Float64bits(1.5) + uint64(data[1]%5))
+			}
+			entries = append(entries, RPLEntry{
+				Score:  s,
+				SID:    uint32(data[9]%4) + 1,
+				Doc:    uint32(binary.LittleEndian.Uint16(data[10:12])),
+				End:    uint32(len(entries) + 1),
+				Length: uint32(data[9]),
+			})
+			data = data[12:]
+		}
+		input := slices.Clone(entries)
+		want := slices.Clone(entries)
+		slices.SortStableFunc(want, func(a, b RPLEntry) int {
+			return cmp.Compare(invertScore(a.Score), invertScore(b.Score))
+		})
+		// The buffers are longer than the input and start dirty, as a
+		// caller's reused buffers are.
+		dst := make([]RPLEntry, len(entries)+3)
+		for i := range dst {
+			dst[i] = RPLEntry{Score: -7, SID: 99}
+		}
+		scratch := slices.Clone(dst)
+		RadixScoreOrder(dst, scratch, entries)
+		if err := entriesEqual(dst[:len(entries)], want); err != nil {
+			t.Fatalf("radix vs stable sort: %v", err)
+		}
+		if err := entriesEqual(entries, input); err != nil {
+			t.Fatalf("the input changed: %v", err)
+		}
+		SortRPLEntriesPositionOrder(entries)
+		if RadixScoreOrder(dst, scratch, entries); !slices.IsSortedFunc(dst[:len(entries)], compareRPLEntries) {
+			t.Fatal("position-ordered input did not come out in RPL key order")
+		}
+	})
 }
 
 // FuzzBlockRoundTrip derives an entry list from the fuzz bytes and checks

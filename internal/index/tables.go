@@ -213,8 +213,8 @@ func (s *Store) PutERPL(term string, e RPLEntry) error {
 // EncodeERPLBlocks, possibly spanning several terms) into the kind's
 // tree. An empty tree is built through the storage bulk loader — leaves
 // packed near-full, no random-insert write amplification; a non-empty
-// tree takes ordinary Puts. Rows are sorted by key first, which both the
-// bulk loader and Put locality want.
+// tree takes ordinary Puts. Rows not already in key order are sorted
+// first, which both the bulk loader and Put locality want.
 func (s *Store) WriteListRows(kind ListKind, rows []ListRow) error {
 	if err := s.noteListChange(); err != nil {
 		return err
@@ -223,7 +223,10 @@ func (s *Store) WriteListRows(kind ListKind, rows []ListRow) error {
 	if kind == KindERPL {
 		tree = s.ERPLs
 	}
-	slices.SortFunc(rows, func(a, b ListRow) int { return bytes.Compare(a.Key, b.Key) })
+	byKey := func(a, b ListRow) int { return bytes.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(rows, byKey) {
+		slices.SortFunc(rows, byKey)
+	}
 	bl, err := tree.NewBulkLoader(0)
 	if err == nil {
 		for _, r := range rows {

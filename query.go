@@ -257,8 +257,12 @@ func (e *Engine) invalidateTranslations() {
 // Materialize builds the redundant lists (RPLs and/or ERPLs) the query
 // needs, enabling TA and/or Merge for it. It is a maintenance operation:
 // safe to run while queries are served (it takes the engine write lock
-// for the build), exclusive with other maintenance operations.
+// for the build), exclusive with other maintenance operations. kinds must
+// name at least one of the two list kinds (retrieval.ErrNoListKinds).
 func (e *Engine) Materialize(src string, kinds ...index.ListKind) (*retrieval.MaterializeStats, error) {
+	if _, _, err := retrieval.WantKinds(kinds); err != nil {
+		return nil, err
+	}
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	e.beginWrite()
