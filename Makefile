@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet profile bench bench-compare bench-parallel bench-pr3 bench-pr5 bench-pr6 bench-qps bench-pr8 bench-cluster bench-pr10 bench-suite-log test-telemetry test-segment test-frontdoor test-planner test-cluster test-json test-ingest fuzz soak soak-cluster ci run-serve-autopilot
+.PHONY: all build test race vet profile bench bench-compare bench-parallel bench-suite-log loc test-telemetry test-segment test-frontdoor test-planner test-cluster test-json test-ingest fuzz soak soak-cluster ci run-serve-autopilot
 
 all: build test
 
@@ -64,61 +64,17 @@ bench-compare:
 bench-parallel:
 	$(GO) test -run xxx -bench 'Parallel|ShardCount' -cpu 1,4 ./internal/storage/ .
 
-# bench-pr3 regenerates BENCH_PR3.json: block-encoded (v2) vs
-# row-per-entry (v1) list storage — bytes per table, pages per query,
-# ns/op for TA/Merge/ERA. The committed file records the results.
-bench-pr3:
-	$(GO) run ./cmd/trexbench -exp pr3 -pr3out BENCH_PR3.json
-
-# bench-pr5 regenerates BENCH_PR5.json: the observability layer's cost —
-# paper queries with telemetry on vs off (ns/op, allocs/op; budget is
-# <= 2 extra allocs per query) plus the price of a /metrics scrape.
-bench-pr5:
-	$(GO) run ./cmd/trexbench -exp pr5 -pr5out BENCH_PR5.json
-
-# bench-pr6 regenerates BENCH_PR6.json: the immutable mmap'd segment
-# read path vs the sharded-LRU pager — cursor scans, point gets and
-# TA/Merge end-to-end latency with allocs/op, plus the zero-allocation
-# assertion on the segment Reader's Get/Seek/Range.
-bench-pr6:
-	$(GO) run ./cmd/trexbench -exp pr6 -pr6out BENCH_PR6.json
-
-# bench-qps regenerates BENCH_PR7.json: the front door under open-loop
-# load — offered-vs-achieved QPS with p50/p99 latency curves for the
-# raw engine, admission control, and admission + the epoch-invalidated
-# result cache, over a skewed replay of the paper queries.
-bench-qps:
-	$(GO) run ./cmd/trexbench -exp pr7 -pr7out BENCH_PR7.json
-
-# bench-pr8 regenerates BENCH_PR8.json: the telemetry-driven query
-# planner — MethodAuto vs MethodRace vs each fixed method over the
-# skewed replay (mean/p99 wall, engine-level page reads charging race
-# its losers, per-query auto-vs-best-fixed, shadow-sampled regret rate).
-bench-pr8:
-	$(GO) run ./cmd/trexbench -exp pr8 -pr8out BENCH_PR8.json
-
-# bench-cluster regenerates BENCH_PR9.json: the distributed serving
-# tier — open-loop QPS/p50/p99 sweeps for the single engine vs
-# coordinators at 1/2/4/8 shards behind an identical front door, with
-# distributed-TA early-stop counts and per-shard page reads. On a
-# single-core box expect throughput parity (the JSON records the
-# caveat); the distributed win is in the early-stop/page columns.
-bench-cluster:
-	$(GO) run ./cmd/trexbench -exp pr9 -pr9out BENCH_PR9.json
-
-# bench-pr10 regenerates BENCH_PR10.json: streaming JSON ingest vs live
-# queries — ingest throughput and commit latency per commit batch size,
-# the staged->committed freshness-lag distribution, and query p50/p99
-# while the writer streams, against a quiet-engine baseline.
-bench-pr10:
-	$(GO) run ./cmd/trexbench -exp pr10 -pr10out BENCH_PR10.json
-
 # bench-suite-log re-runs the full `go test -bench` sweep and captures
 # the raw tool output for local inspection. The log is generated on
-# demand and not committed; recorded results live in the BENCH_*.json
-# files and EXPERIMENTS.md.
+# demand and not committed; recorded results live in EXPERIMENTS.md.
 bench-suite-log:
 	$(GO) test -bench . -benchmem ./... | tee bench_output_suite.txt
+
+# loc prints the non-test and test Go line counts, the size figures
+# ROADMAP item 2's gate counts.
+loc:
+	@find . -name '*.go' -not -path './.git/*' | grep -v '_test\.go$$' | xargs cat | wc -l | sed 's/^/non-test: /'
+	@find . -name '*.go' -not -path './.git/*' | grep '_test\.go$$' | xargs cat | wc -l | sed 's/^/test:     /'
 
 # test-segment is the segment-backend gate: the format/reader unit suite
 # (including the mmap lifecycle and zero-alloc assertions), the engine
@@ -153,14 +109,15 @@ test-frontdoor:
 	$(GO) test ./internal/oracle -run TestCachedDifferential200Cases -count=1
 
 # test-planner is the query-planner gate: the planner package's unit
-# suite (cost model, bucketing, eligibility), the engine-level
-# convergence test (auto routes >= 90% of a calibrated workload to the
-# measured-cheapest method), the shadow-sampling-vs-maintenance race
+# suite (cost model, bucketing, eligibility, the cold-start rule), the
+# engine-level convergence test (auto routes >= 90% of a calibrated
+# workload to the measured-cheapest method), the cold-start agreement
+# of Query and Explain, the shadow-sampling-vs-maintenance race
 # test, the oracle sweep's Auto column, and the /planner + /search
 # planner-field handler tests.
 test-planner:
 	$(GO) test ./internal/planner -count=1
-	$(GO) test . -run 'TestPlannerConvergence|TestShadowSampling|TestPlanner' -count=1
+	$(GO) test . -run 'TestPlannerConvergence|TestShadowSampling|TestPlanner|TestAutoColdStart' -count=1
 	$(GO) test . -run TestShadowSamplingRace -race -count=1
 	$(GO) test ./internal/oracle -run TestDifferential200Cases -count=1
 	$(GO) test ./internal/webapi -run 'TestPlanner|TestSearchPlannerFields|TestExplainPlannerFields' -count=1

@@ -76,8 +76,6 @@ type AdvisorReport struct {
 	// Routed records, per workload query, the method the engine's query
 	// planner predicts under RPL-only and ERPL-only coverage — the
 	// methods whose measured costs entered the solver's saving terms.
-	// Nil when the planner is disabled (the solver then uses the raw
-	// TA/Merge costs, the pre-planner behavior).
 	Routed map[string]selfmanage.Routing
 }
 
@@ -141,10 +139,7 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 
-	report := &AdvisorReport{DiskBudget: disk}
-	if e.pln != nil {
-		report.Routed = make(map[string]selfmanage.Routing)
-	}
+	report := &AdvisorReport{DiskBudget: disk, Routed: make(map[string]selfmanage.Routing)}
 	w := &selfmanage.Workload{}
 	lists := make(map[string]listInfo)
 	for _, wq := range queries {
@@ -241,14 +236,14 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 // two phases. A (nil, err) return means the query failed to translate;
 // (non-nil spec, err) is an internal error.
 //
-// With the planner enabled, NRA is measured alongside the paper's three
-// strategies, every measured cost calibrates the planner's model, and
-// the solver's saving terms follow the planner's routing: the spec's
-// "TA time" becomes the measured cost of whatever method the planner
-// would run under RPL-only coverage (TA, NRA, or ERA — the latter
-// zeroing the saving, because an RPL the planner would not route to is
-// worthless), and likewise for "Merge time" under ERPL-only coverage.
-// The routing per query is recorded in routed when non-nil.
+// NRA is measured alongside the paper's three strategies, every
+// measured cost calibrates the planner's model, and the solver's saving
+// terms follow the planner's routing: the spec's "TA time" becomes the
+// measured cost of whatever method the planner would run under RPL-only
+// coverage (TA, NRA, or ERA — the latter zeroing the saving, because an
+// RPL the planner would not route to is worthless), and likewise for
+// "Merge time" under ERPL-only coverage.
+// The routing per query is recorded in routed.
 func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lists map[string]listInfo, routed map[string]selfmanage.Routing) (*selfmanage.QuerySpec, error) {
 	e.beginWrite()
 	tr, err := e.translateMode(wq.NEXI, translate.ModeVague)
@@ -302,44 +297,39 @@ func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lis
 		return &selfmanage.QuerySpec{}, err
 	}
 
+	_, nraStats, err := retrieval.NRACtx(ctx, e.store, sids, terms, k)
+	if err != nil {
+		return &selfmanage.QuerySpec{}, err
+	}
+	feats, err := e.planFeatures(sids, terms, k)
+	if err != nil {
+		return &selfmanage.QuerySpec{}, err
+	}
+	costs := [planner.NumMethods]float64{
+		planner.ERA:   eraStats.CostProxy(),
+		planner.TA:    taStats.CostProxy(),
+		planner.NRA:   nraStats.CostProxy(),
+		planner.Merge: mergeStats.CostProxy(),
+	}
+	// Measurement runs are free calibration: all four methods just ran
+	// the same query under exact counters.
+	model := e.pln.model
+	for m := planner.Method(0); m < planner.NumMethods; m++ {
+		model.Observe(m, feats, costs[m])
+	}
+	rplOnly := feats
+	rplOnly.RPLCovered, rplOnly.ERPLCovered = true, false
+	erplOnly := feats
+	erplOnly.RPLCovered, erplOnly.ERPLCovered = false, true
+	mRPL := model.Plan(rplOnly).Method
+	mERPL := model.Plan(erplOnly).Method
+	routed[wq.NEXI] = selfmanage.Routing{RPLOnly: mRPL.String(), ERPLOnly: mERPL.String()}
 	spec := &selfmanage.QuerySpec{
 		ID:        wq.NEXI,
 		Freq:      wq.Freq,
-		TimeERA:   eraStats.CostProxy(),
-		TimeTA:    taStats.CostProxy(),
-		TimeMerge: mergeStats.CostProxy(),
-	}
-	if p := e.pln; p != nil {
-		_, nraStats, err := retrieval.NRACtx(ctx, e.store, sids, terms, k)
-		if err != nil {
-			return &selfmanage.QuerySpec{}, err
-		}
-		feats, err := e.planFeatures(sids, terms, k)
-		if err != nil {
-			return &selfmanage.QuerySpec{}, err
-		}
-		costs := [planner.NumMethods]float64{
-			planner.ERA:   eraStats.CostProxy(),
-			planner.TA:    taStats.CostProxy(),
-			planner.NRA:   nraStats.CostProxy(),
-			planner.Merge: mergeStats.CostProxy(),
-		}
-		// Measurement runs are free calibration: all four methods just
-		// ran the same query under exact counters.
-		for m := planner.Method(0); m < planner.NumMethods; m++ {
-			p.model.Observe(m, feats, costs[m])
-		}
-		rplOnly := feats
-		rplOnly.RPLCovered, rplOnly.ERPLCovered = true, false
-		erplOnly := feats
-		erplOnly.RPLCovered, erplOnly.ERPLCovered = false, true
-		mRPL := p.model.Plan(rplOnly).Method
-		mERPL := p.model.Plan(erplOnly).Method
-		spec.TimeTA = costs[mRPL]
-		spec.TimeMerge = costs[mERPL]
-		if routed != nil {
-			routed[wq.NEXI] = selfmanage.Routing{RPLOnly: mRPL.String(), ERPLOnly: mERPL.String()}
-		}
+		TimeERA:   costs[planner.ERA],
+		TimeTA:    costs[mRPL],
+		TimeMerge: costs[mERPL],
 	}
 	for _, term := range terms {
 		for _, sid := range sids {

@@ -138,8 +138,7 @@ func BenchmarkFigure6Q292(b *testing.B) { benchFigure(b, "292") }
 // the sharded storage read path exists for. Each method runs under
 // b.RunParallel; qps is the aggregate across goroutines, and the page
 // cache hit ratio over the run is reported alongside (parallel QPS only
-// scales if hits stay lock-free). MethodRace doubles as a two-extra-
-// goroutines-per-query stress (TA and Merge race inside each call).
+// scales if hits stay lock-free).
 func BenchmarkParallelQueries(b *testing.B) {
 	col := corpus.GenerateIEEE(60, 7)
 	eng, err := trex.CreateMemory(col, nil)
@@ -157,7 +156,7 @@ func BenchmarkParallelQueries(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, m := range []trex.Method{trex.MethodERA, trex.MethodTA, trex.MethodMerge, trex.MethodRace} {
+	for _, m := range []trex.Method{trex.MethodERA, trex.MethodTA, trex.MethodMerge} {
 		m := m
 		b.Run(m.String(), func(b *testing.B) {
 			before := eng.DB().Stats()

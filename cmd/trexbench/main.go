@@ -14,13 +14,6 @@
 //	drift      workload drift: re-planning recovers efficiency (Section 4)
 //	winners    which method wins per query at small and large k
 //	effectiveness  precision@10 vs planted topics (extension)
-//	pr3        block-encoded vs row-per-entry list storage (see -pr3out)
-//	pr5        telemetry overhead: traces/metrics on vs off (see -pr5out)
-//	pr6        mmap'd segment read path vs the pager (see -pr6out)
-//	pr7        front door under load: admission + result cache (see -pr7out)
-//	pr8        telemetry-driven query planner: auto vs race vs fixed (see -pr8out)
-//	pr9        distributed serving tier: sharded scatter-gather vs single engine (see -pr9out)
-//	pr10       streaming JSON ingest vs live queries: throughput, p99, freshness lag (see -pr10out)
 //	all        everything above
 //
 // Usage:
@@ -30,7 +23,6 @@ package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -48,13 +40,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (see doc comment)")
 	scale := flag.Float64("scale", 1.0, "corpus scale factor (1.0 = 400 IEEE / 900 wiki docs)")
 	csvDir := flag.String("csv", "", "also write figure series as CSV files into this directory")
-	pr3Out := flag.String("pr3out", "", "write the pr3 storage comparison as JSON to this file")
-	pr5Out := flag.String("pr5out", "", "write the pr5 telemetry overhead report as JSON to this file")
-	pr6Out := flag.String("pr6out", "", "write the pr6 segment read-path report as JSON to this file")
-	pr7Out := flag.String("pr7out", "", "write the pr7 front-door load report as JSON to this file")
-	pr8Out := flag.String("pr8out", "", "write the pr8 query-planner report as JSON to this file")
-	pr9Out := flag.String("pr9out", "", "write the pr9 cluster serving report as JSON to this file")
-	pr10Out := flag.String("pr10out", "", "write the pr10 streaming-ingest report as JSON to this file")
 	flag.Parse()
 	csvOut = *csvDir
 	if csvOut != "" {
@@ -123,34 +108,6 @@ func main() {
 	if run("effectiveness") {
 		ok = true
 		effectiveness(pair)
-	}
-	if run("pr3") {
-		ok = true
-		pr3(*scale, *pr3Out)
-	}
-	if run("pr5") {
-		ok = true
-		pr5(*scale, *pr5Out)
-	}
-	if run("pr6") {
-		ok = true
-		pr6(*scale, *pr6Out)
-	}
-	if run("pr7") {
-		ok = true
-		pr7(*scale, *pr7Out)
-	}
-	if run("pr8") {
-		ok = true
-		pr8(*scale, *pr8Out)
-	}
-	if run("pr9") {
-		ok = true
-		pr9(*scale, *pr9Out)
-	}
-	if run("pr10") {
-		ok = true
-		pr10(*scale, *pr10Out)
 	}
 	if !ok {
 		log.Fatalf("unknown experiment %q", *exp)
@@ -346,313 +303,6 @@ func winners(pair *bench.EnvPair) {
 	for _, r := range rows {
 		fmt.Printf("%-4s %12s %12s %20s %10v\n",
 			r.ID, r.SmallKWinner, r.LargeKWinner, strings.Join(r.ERABeatenBy, "+"), r.CrossoverPresent)
-	}
-	fmt.Println()
-}
-
-func pr3(scale float64, outPath string) {
-	fmt.Println("## Block-encoded list storage vs row-per-entry (PR 3)")
-	rep, err := bench.PR3(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-8s %14s %14s %10s %10s\n", "layout", "RPL-bytes", "ERPL-bytes", "RPL-rows", "ERPL-rows")
-	fmt.Printf("%-8s %14d %14d %10d %10d\n", "v1",
-		rep.V1.RPLPayloadBytes, rep.V1.ERPLPayloadBytes, rep.V1.RPLRows, rep.V1.ERPLRows)
-	fmt.Printf("%-8s %14d %14d %10d %10d\n", "v2",
-		rep.V2.RPLPayloadBytes, rep.V2.ERPLPayloadBytes, rep.V2.RPLRows, rep.V2.ERPLRows)
-	fmt.Printf("combined payload reduction: %.1f%%\n", rep.Reduction*100)
-	fmt.Printf("%-4s %-6s | %10s %10s %10s | %10s %10s %10s\n",
-		"id", "method", "v1-ns", "v2-ns", "speedup", "v1-pages", "v2-pages", "v2-steps")
-	for _, q := range rep.Queries {
-		for _, m := range []string{"ta", "merge", "era"} {
-			a, b := q.V1[m], q.V2[m]
-			sp := 0.0
-			if b.NsOp > 0 {
-				sp = float64(a.NsOp) / float64(b.NsOp)
-			}
-			fmt.Printf("%-4s %-6s | %10d %10d %9.2fx | %10d %10d %10d\n",
-				q.ID, m, a.NsOp, b.NsOp, sp, a.PageReads, b.PageReads, b.CursorSteps)
-		}
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
-	}
-	fmt.Println()
-}
-
-func pr5(scale float64, outPath string) {
-	fmt.Println("## Telemetry overhead: traces + metrics + slow log on vs off (PR 5)")
-	rep, err := bench.PR5(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-4s %-6s | %10s %10s %9s | %8s %8s %7s\n",
-		"id", "method", "off-ns", "on-ns", "overhead", "off-alloc", "on-alloc", "delta")
-	for _, q := range rep.Queries {
-		fmt.Printf("%-4s %-6s | %10d %10d %8.2f%% | %8d %8d %7d\n",
-			q.ID, q.Enabled.Method, q.Disabled.NsOp, q.Enabled.NsOp, q.OverheadPct,
-			q.Disabled.AllocsOp, q.Enabled.AllocsOp, q.AllocDelta)
-	}
-	status := "ok"
-	if rep.MaxAllocDelta > 2 {
-		status = "FAIL"
-	}
-	fmt.Printf("max alloc delta: %d (budget 2: trace + span slice) %s\n", rep.MaxAllocDelta, status)
-	fmt.Printf("mean wall overhead: %.2f%%\n", rep.MeanOverheadPct)
-	fmt.Printf("scrape: %d families, %d exposition bytes, %d ns/op, %d allocs/op\n",
-		rep.Scrape.Families, rep.Scrape.ExpositionBytes, rep.Scrape.NsOp, rep.Scrape.AllocsOp)
-	fmt.Printf("slow log recorded %d/%d queries at 1ns threshold\n", rep.SlowLogRecorded, len(rep.Queries))
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
-	}
-	fmt.Println()
-}
-
-func pr6(scale float64, outPath string) {
-	fmt.Println("## Immutable mmap'd segment read path vs the pager (PR 6)")
-	rep, err := bench.PR6(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("cursor-scan (%d rows):  pager %10d ns (%.1f allocs)   segment %10d ns (%.1f allocs)   %.2fx\n",
-		rep.CursorScan.Rows, rep.CursorScan.Pager.NsOp, rep.CursorScan.Pager.AllocsOp,
-		rep.CursorScan.Segment.NsOp, rep.CursorScan.Segment.AllocsOp, rep.CursorScan.Speedup)
-	fmt.Printf("point-get   (%d keys):  pager %10d ns (%.1f allocs)   segment %10d ns (%.1f allocs)   %.2fx\n",
-		rep.PointGet.Probes, rep.PointGet.Pager.NsOp, rep.PointGet.Pager.AllocsOp,
-		rep.PointGet.Segment.NsOp, rep.PointGet.Segment.AllocsOp, rep.PointGet.Speedup)
-	raStatus := "ok"
-	if rep.ReaderAllocs.Get != 0 || rep.ReaderAllocs.Seek != 0 || rep.ReaderAllocs.Range != 0 {
-		raStatus = "FAIL"
-	}
-	fmt.Printf("reader allocs/op: get=%.1f seek=%.1f range=%.1f (budget 0) %s\n",
-		rep.ReaderAllocs.Get, rep.ReaderAllocs.Seek, rep.ReaderAllocs.Range, raStatus)
-	fmt.Printf("%-4s %-6s | %10s %10s %9s | %9s %9s | %12s %9s\n",
-		"id", "method", "pager-ns", "seg-ns", "speedup", "pg-alloc", "seg-alloc", "seg-bytes", "seg-rows")
-	for _, q := range rep.Queries {
-		for _, m := range []string{"ta", "merge"} {
-			a, b := q.Pager[m], q.Segment[m]
-			sp := 0.0
-			if b.NsOp > 0 {
-				sp = float64(a.NsOp) / float64(b.NsOp)
-			}
-			fmt.Printf("%-4s %-6s | %10d %10d %8.2fx | %9.0f %9.0f | %12d %9d\n",
-				q.ID, m, a.NsOp, b.NsOp, sp, a.AllocsOp, b.AllocsOp, b.BytesRead, b.SegmentRows)
-		}
-	}
-	fmt.Printf("mean TA speedup (pager/segment): %.2fx\n", rep.TASpeedupMean)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
-	}
-	fmt.Println()
-}
-
-func pr7(scale float64, outPath string) {
-	fmt.Println("## Front door under load: admission + result cache (PR 7)")
-	rep, err := bench.PR7(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("serial capacity: %.0f qps (uncached, single-threaded replay)\n", rep.SerialCapacityQPS)
-	for _, v := range rep.Variants {
-		fmt.Printf("%-16s (inflight=%d queue=%d cache=%d)\n",
-			v.Name, v.MaxInflight, v.QueueDepth, v.CacheEntries)
-		fmt.Printf("  %10s %10s %9s %9s | %5s %5s %5s | %8s\n",
-			"offered", "achieved", "p50-ms", "p99-ms", "ok", "shed", "503", "hit-rate")
-		for _, p := range v.Points {
-			fmt.Printf("  %10.0f %10.0f %9.2f %9.2f | %5d %5d %5d | %7.0f%%\n",
-				p.OfferedQPS, p.AchievedQPS, p.P50MS, p.P99MS,
-				p.OK, p.Shed, p.QueueTimeouts, p.CacheHitRate*100)
-		}
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
-	}
-	fmt.Println()
-}
-
-func pr9(scale float64, outPath string) {
-	fmt.Println("## Distributed serving tier: sharded scatter-gather vs single engine (PR 9)")
-	rep, err := bench.PR9(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("serial capacity: %.0f qps (uncached, single-threaded TA replay); gomaxprocs=%d numcpu=%d\n",
-		rep.SerialCapacityQPS, rep.GOMAXPROCS, rep.NumCPU)
-	if rep.SingleCoreCaveat != "" {
-		fmt.Printf("caveat: %s\n", rep.SingleCoreCaveat)
-	}
-	for _, v := range rep.Variants {
-		label := v.Name
-		if v.Shards > 0 {
-			label = fmt.Sprintf("%s (N=%d R=%d)", v.Name, v.Shards, v.Replicas)
-		}
-		fmt.Printf("%-20s\n", label)
-		fmt.Printf("  %10s %10s %9s %9s | %5s %5s %5s | %10s %7s %7s\n",
-			"offered", "achieved", "p50-ms", "p99-ms", "ok", "shed", "503", "pages", "early", "fetch")
-		for _, p := range v.Points {
-			fmt.Printf("  %10.0f %10.0f %9.2f %9.2f | %5d %5d %5d | %10d %7d %7d\n",
-				p.OfferedQPS, p.AchievedQPS, p.P50MS, p.P99MS,
-				p.OK, p.Shed, p.QueueTimeouts, p.PageReads, p.EarlyStops, p.Fetches)
-		}
-	}
-	fmt.Printf("4-shard ok-QPS over single engine: %.2fx\n", rep.SpeedupAt4Shards)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
-	}
-	fmt.Println()
-}
-
-func pr10(scale float64, outPath string) {
-	fmt.Println("## Streaming JSON ingest vs live queries (PR 10)")
-	rep, err := bench.PR10(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("corpus: %d json docs (%d initial + %d streamed); %d readers; quiet query p50/p99 = %.2f/%.2f ms\n",
-		rep.Corpus.Docs, rep.InitialDocs, rep.StreamDocs, rep.Readers,
-		rep.BaselineQueryP50MS, rep.BaselineQueryP99MS)
-	fmt.Printf("%-6s %11s %8s %10s %10s | %9s %9s %9s %9s | %8s %9s %9s\n",
-		"batch", "docs/s", "commits", "cmt-p50", "cmt-p99",
-		"lag-p50", "lag-p90", "lag-p99", "lag-max", "queries", "q-p50", "q-p99")
-	for _, v := range rep.Variants {
-		fmt.Printf("%-6d %11.1f %8d %10.2f %10.2f | %9.2f %9.2f %9.2f %9.2f | %8d %9.2f %9.2f\n",
-			v.BatchDocs, v.IngestDocsPerSec, v.Commits, v.CommitP50MS, v.CommitP99MS,
-			v.FreshnessLag.P50MS, v.FreshnessLag.P90MS, v.FreshnessLag.P99MS, v.FreshnessLag.MaxMS,
-			v.Queries, v.QueryP50MS, v.QueryP99MS)
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
-	}
-	fmt.Println()
-}
-
-func pr8(scale float64, outPath string) {
-	fmt.Println("## Telemetry-driven query planner: auto vs race vs fixed (PR 8)")
-	rep, err := bench.PR8(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-6s %10s %10s %12s %14s  %s\n",
-		"policy", "mean-ms", "p99-ms", "page-reads", "bytes-read", "executed-mix")
-	for _, v := range rep.Variants {
-		var mix []string
-		for _, m := range []string{"era", "ta", "nra", "merge"} {
-			if n := v.Methods[m]; n > 0 {
-				mix = append(mix, fmt.Sprintf("%s:%d", m, n))
-			}
-		}
-		fmt.Printf("%-6s %10.3f %10.3f %12d %14d  %s\n",
-			v.Name, v.MeanWallMS, v.P99WallMS, v.PageReads, v.BytesRead, strings.Join(mix, " "))
-	}
-	fmt.Printf("%-4s %5s | %-6s %9s | %-6s %9s %7s\n",
-		"id", "reqs", "best", "best-ms", "auto->", "auto-ms", "ratio")
-	for _, q := range rep.PerQuery {
-		fmt.Printf("%-4s %5d | %-6s %9.3f | %-6s %9.3f %6.2fx\n",
-			q.ID, q.Requests, q.BestFixed, q.BestFixedMS, q.AutoRouted, q.AutoMeanMS, q.AutoOverBestX)
-	}
-	autoStatus := "ok"
-	if rep.AutoOverBestFixed > 1.05 {
-		autoStatus = "FAIL"
-	}
-	raceStatus := "ok"
-	if rep.RaceOverAutoPageReads <= 1 {
-		raceStatus = "FAIL"
-	}
-	fmt.Printf("auto over per-query best fixed (mean wall): %.3fx (budget 1.05) %s\n",
-		rep.AutoOverBestFixed, autoStatus)
-	fmt.Printf("race over auto page reads: %.2fx (must be > 1) %s\n",
-		rep.RaceOverAutoPageReads, raceStatus)
-	fmt.Printf("shadow regret: %d/%d mispredicted (%.1f%%), %d errors\n",
-		rep.Shadow.Mispredictions, rep.Shadow.Samples, rep.Shadow.RegretRate*100, rep.Shadow.Errors)
-	fmt.Printf("planner model: %d observations across %d calibrated buckets\n",
-		rep.PlannerObservations, rep.CalibratedBuckets)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", outPath)
 	}
 	fmt.Println()
 }

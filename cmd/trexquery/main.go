@@ -51,7 +51,7 @@ func main() {
 	log.SetPrefix("trexquery: ")
 	dbPath := flag.String("db", "", "TReX database file (required)")
 	k := flag.Int("k", 10, "number of answers (0 = all)")
-	method := flag.String("method", "auto", "retrieval method: auto, era, ta, nra, merge, race")
+	method := flag.String("method", "auto", "retrieval method: auto, era, ta, nra, merge")
 	materialize := flag.Bool("materialize", false, "build the query's RPLs and ERPLs first")
 	showStats := flag.Bool("stats", false, "print retrieval statistics")
 	explain := flag.Bool("explain", false, "print the evaluation plan instead of running the query")
@@ -99,22 +99,9 @@ func main() {
 		fmt.Print(ex.String())
 		return
 	}
-	var m trex.Method
-	switch *method {
-	case "auto":
-		m = trex.MethodAuto
-	case "era":
-		m = trex.MethodERA
-	case "ta":
-		m = trex.MethodTA
-	case "nra":
-		m = trex.MethodNRA
-	case "merge":
-		m = trex.MethodMerge
-	case "race":
-		m = trex.MethodRace
-	default:
-		log.Fatalf("unknown method %q", *method)
+	m, err := trex.ParseMethod(*method)
+	if err != nil {
+		log.Fatal(err)
 	}
 	res, err := eng.Query(query, *k, m)
 	if err != nil {

@@ -25,8 +25,7 @@
 // disable it with -metrics=false, tune the slow log with
 // -slowlog-threshold.
 //
-// The telemetry-driven query planner resolves method=auto by default;
-// -planner=false falls back to the static coverage heuristic, and
+// The telemetry-driven query planner resolves method=auto;
 // -shadow-fraction tunes how often the planner's runner-up method is
 // additionally run in the background to measure prediction regret.
 //
@@ -136,7 +135,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "max time a query may wait for an execution slot before a 503 (0 = 100ms default)")
 	deadline := flag.Duration("deadline", 0, "default per-query deadline; expiry returns the best-effort ranking marked approximate (0 = none)")
 	cacheEntries := flag.Int("cache-entries", 0, "result cache capacity in entries, invalidated by any index write (0 = no cache)")
-	plannerOn := flag.Bool("planner", true, "resolve method=auto through the telemetry-calibrated cost model (false = static coverage heuristic)")
 	shadowFraction := flag.Float64("shadow-fraction", trex.DefaultShadowFraction, "fraction of auto-planned queries whose runner-up method also runs in the background to measure regret (0 < f <= 1; negative disables)")
 	flag.Parse()
 	clusterMode := *shards > 1 || *replicas > 1 || *corpusDir != ""
@@ -160,7 +158,6 @@ func main() {
 			SegmentLists:   *segments,
 			StoreDocuments: true,
 			Planner: &trex.PlannerOptions{
-				Disabled:       !*plannerOn,
 				ShadowFraction: *shadowFraction,
 			},
 			Telemetry: &trex.TelemetryOptions{
@@ -174,7 +171,6 @@ func main() {
 		SegmentLists: *segments,
 		FrontDoor:    fd,
 		Planner: &trex.PlannerOptions{
-			Disabled:       !*plannerOn,
 			ShadowFraction: *shadowFraction,
 		},
 		Telemetry: &trex.TelemetryOptions{

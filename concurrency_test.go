@@ -38,7 +38,7 @@ func TestConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			methods := []Method{MethodERA, MethodTA, MethodMerge, MethodNRA, MethodRace}
+			methods := []Method{MethodERA, MethodTA, MethodMerge, MethodNRA}
 			for i := 0; i < 6; i++ {
 				q := queries[(w+i)%len(queries)]
 				m := methods[(w+i)%len(methods)]
@@ -73,8 +73,7 @@ type errMismatch string
 func (e errMismatch) Error() string { return "concurrent result mismatch for " + string(e) }
 
 // TestConcurrentQueryStress hammers one engine from many goroutines with
-// mixed methods (including MethodRace, which itself spawns two racers per
-// query), interleaved stats snapshots, and enough distinct translations
+// mixed methods, interleaved stats snapshots, and enough distinct translations
 // to overflow the LRU translation cache. Run with -race; this is the
 // serving pattern of the web API under load.
 func TestConcurrentQueryStress(t *testing.T) {
@@ -89,7 +88,7 @@ func TestConcurrentQueryStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	methods := []Method{MethodERA, MethodTA, MethodMerge, MethodNRA, MethodRace, MethodAuto}
+	methods := []Method{MethodERA, MethodTA, MethodMerge, MethodNRA, MethodAuto}
 
 	const workers = 12
 	var wg sync.WaitGroup

@@ -95,8 +95,7 @@ type Options struct {
 	FrontDoor *FrontDoorOptions
 	// Planner configures the online query planner that resolves
 	// MethodAuto through a continuously calibrated cost model. Nil
-	// enables it with defaults; see PlannerOptions.Disabled to fall
-	// back to the legacy static heuristic.
+	// uses the defaults.
 	Planner *PlannerOptions
 	// SharedSummary, when non-nil, is used instead of building a
 	// structural summary from the collection. The distributed tier
@@ -124,8 +123,8 @@ type Engine struct {
 	// but not yet committed; exported as gauges by telemetry.
 	ingestStagedDocs  atomic.Int64
 	ingestStagedBytes atomic.Int64
-	// inflight tracks racing retrieval goroutines (MethodRace) so Close
-	// does not pull the storage out from under a losing racer.
+	// inflight tracks background shadow retrievals (see launchShadow) so
+	// writers and Close do not pull the storage out from under one.
 	inflight sync.WaitGroup
 	// trCache memoizes query translations with LRU eviction (guarded by
 	// trMu; invalidated when the summary changes). trLRU's front is the
@@ -163,8 +162,8 @@ type Engine struct {
 	rcache *frontdoor.Cache
 	fd     FrontDoorOptions
 	// pln is the online query planner (MethodAuto resolution, cost
-	// model calibration, shadow sampling); nil when disabled. Set once
-	// before the engine is shared, then read-only.
+	// model calibration, shadow sampling). Set once before the engine
+	// is shared, then read-only.
 	pln *plannerState
 	// writeEpoch is the result cache's invalidation key: seeded from
 	// the persisted list epoch at open, bumped by beginWrite under the
@@ -191,9 +190,9 @@ func (e *Engine) endRead() {
 }
 
 // beginWrite / endWrite bracket one exclusive maintenance step. After
-// the exclusive lock is held no new reader can start, but a losing
-// MethodRace goroutine from an earlier query may still be reading
-// storage, so writers also drain inflight before mutating.
+// the exclusive lock is held no new reader can start, but a shadow run
+// launched by an earlier query may still be reading storage, so writers
+// also drain inflight before mutating.
 func (e *Engine) beginWrite() {
 	if m := e.met; m != nil {
 		t0 := time.Now()
@@ -455,7 +454,7 @@ func Open(path string, opts *Options) (*Engine, error) {
 }
 
 // Close stops the autopilot (if running), waits for in-flight queries
-// and racers, then flushes and closes the underlying database.
+// and shadow runs, then flushes and closes the underlying database.
 func (e *Engine) Close() error {
 	e.StopAutopilot()
 	e.maintMu.Lock()

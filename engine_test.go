@@ -293,43 +293,20 @@ func TestMethodStrings(t *testing.T) {
 	}
 }
 
-func TestMethodRace(t *testing.T) {
-	eng := testEngine(t, 25, 31)
-	const q = `//article//sec[about(., ontologies case study)]`
-	ok, err := eng.CanUse(q, MethodRace)
-	if err != nil || ok {
-		t.Fatalf("race available before materialize: %v, %v", ok, err)
-	}
-	if _, err := eng.Materialize(q, index.KindRPL, index.KindERPL); err != nil {
-		t.Fatal(err)
-	}
-	ok, err = eng.CanUse(q, MethodRace)
-	if err != nil || !ok {
-		t.Fatalf("race unavailable after materialize: %v, %v", ok, err)
-	}
-	want, err := eng.Query(q, 10, MethodERA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 5; trial++ {
-		got, err := eng.Query(q, 10, MethodRace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Method != MethodTA && got.Method != MethodMerge {
-			t.Fatalf("race winner = %v", got.Method)
-		}
-		if len(got.Answers) != len(want.Answers) {
-			t.Fatalf("race answers = %d, want %d", len(got.Answers), len(want.Answers))
-		}
-		for i := range want.Answers {
-			if got.Answers[i] != want.Answers[i] {
-				t.Fatalf("race answer %d differs (winner %v)", i, got.Method)
-			}
+func TestParseMethodRoundTrip(t *testing.T) {
+	for m := Method(0); int(m) < numMethods; m++ {
+		got, err := ParseMethod(m.String())
+		if err != nil || got != m {
+			t.Fatalf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
-	if MethodRace.String() != "race" {
-		t.Fatal("race string")
+	if m, err := ParseMethod(""); err != nil || m != MethodAuto {
+		t.Fatalf(`ParseMethod("") = %v, %v; want auto`, m, err)
+	}
+	for _, s := range []string{"race", "bogus", "ERA", " ta"} {
+		if _, err := ParseMethod(s); err == nil {
+			t.Fatalf("ParseMethod(%q) accepted", s)
+		}
 	}
 }
 

@@ -38,9 +38,9 @@ type Explanation struct {
 	ListBytes int64
 	// PlanFeatures is the feature vector the query planner derives for
 	// this query (at k = DefaultK), and Plan the resulting decision with
-	// per-candidate cost estimates. Both are nil when the planner is
-	// disabled. Computing them reads only the engine's stat cache — no
-	// cursors are opened and no pages are touched.
+	// per-candidate cost estimates. Both are nil when feature
+	// extraction fails. Computing them reads only the engine's stat
+	// cache — no cursors are opened and no pages are touched.
 	PlanFeatures *planner.Features
 	Plan         *planner.Decision
 	// Trace breaks the analysis into timed spans with I/O attribution
@@ -110,18 +110,12 @@ func (e *Engine) ExplainCtx(ctx context.Context, src string) (*Explanation, erro
 	if ex.ERPLCovered, err = e.store.CoveredCached(index.KindERPL, terms, sids); err != nil {
 		return nil, err
 	}
-	if ex.MethodAtSmallK, err = e.methodAt(sids, terms, 1); err != nil {
-		return nil, err
-	}
-	if ex.MethodAtLargeK, err = e.methodAt(sids, terms, 1_000_000); err != nil {
-		return nil, err
-	}
-	if p := e.pln; p != nil {
-		if f, ferr := e.planFeatures(sids, terms, DefaultK); ferr == nil {
-			d := p.model.Plan(f)
-			ex.PlanFeatures = &f
-			ex.Plan = &d
-		}
+	ex.MethodAtSmallK = e.methodAt(sids, terms, 1)
+	ex.MethodAtLargeK = e.methodAt(sids, terms, 1_000_000)
+	if f, ferr := e.planFeatures(sids, terms, DefaultK); ferr == nil {
+		d := e.pln.model.Plan(f)
+		ex.PlanFeatures = &f
+		ex.Plan = &d
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -156,15 +150,14 @@ func (e *Engine) ExplainCtx(ctx context.Context, src string) (*Explanation, erro
 }
 
 // methodAt resolves what MethodAuto would run at k: the planner's
-// decision when enabled (cold-starting to the static heuristic while
-// uncalibrated), the static heuristic alone otherwise.
-func (e *Engine) methodAt(sids []uint32, terms []string, k int) (Method, error) {
-	if p := e.pln; p != nil {
-		if f, err := e.planFeatures(sids, terms, k); err == nil {
-			return toEngineMethod(p.model.Plan(f).Method), nil
-		}
+// decision (cold-starting on the static rule while uncalibrated), or
+// ERA when feature extraction fails, as in queryCore.
+func (e *Engine) methodAt(sids []uint32, terms []string, k int) Method {
+	f, err := e.planFeatures(sids, terms, k)
+	if err != nil {
+		return MethodERA
 	}
-	return e.pick(sids, terms, k)
+	return toEngineMethod(e.pln.model.Plan(f).Method)
 }
 
 func prefixedAll(prefix string, words []string) []string {

@@ -59,8 +59,7 @@ type RunReport struct {
 	Saving float64
 	// Routed maps each measured query to the retrieval method the query
 	// planner predicts under RPL-only and ERPL-only coverage — the costs
-	// the solver's saving terms were built from. Nil when the engine's
-	// planner is disabled.
+	// the solver's saving terms were built from.
 	Routed map[string]selfmanage.Routing
 }
 

@@ -17,7 +17,7 @@ import (
 // engine registry snapshot.
 func queriesTotal(snap *telemetry.Snapshot) float64 {
 	var sum float64
-	for _, m := range []trex.Method{trex.MethodAuto, trex.MethodERA, trex.MethodTA, trex.MethodMerge, trex.MethodRace, trex.MethodNRA} {
+	for _, m := range []trex.Method{trex.MethodAuto, trex.MethodERA, trex.MethodTA, trex.MethodMerge, trex.MethodNRA} {
 		if e, ok := snap.Get("trex_queries_total", map[string]string{"method": m.String()}); ok {
 			sum += e.Value
 		}
@@ -152,11 +152,8 @@ func TestClusterIOExactHonestUnderSegmentSwap(t *testing.T) {
 	// swapping shard are what the guard must refuse to call exact. Two
 	// scheduler threads are required for windows to actually overlap on a
 	// single-core box (at GOMAXPROCS=1 a fetch runs to completion before
-	// the next one starts and the race never happens); MethodRace queries
-	// in the mix add loser goroutines that keep reading — and keep their
-	// windows open — after their winner returns. Only the fixed-method
-	// queries are counted: Race results are inexact by definition, which
-	// would prove nothing.
+	// the next one starts and the race never happens). ERA and Merge
+	// alternate so both the base index and the swapping lists are read.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var inexact atomic.Uint64
 	var qwg sync.WaitGroup
@@ -167,14 +164,14 @@ func TestClusterIOExactHonestUnderSegmentSwap(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				m := trex.MethodERA
 				if (g+i)%2 == 0 {
-					m = trex.MethodRace
+					m = trex.MethodMerge
 				}
 				res, err := c.Query(q, 5, m)
 				if err != nil {
 					t.Errorf("query during segment swaps: %v", err)
 					return
 				}
-				if m != trex.MethodRace && res.Stats != nil && !res.Stats.IOExact {
+				if res.Stats != nil && !res.Stats.IOExact {
 					inexact.Add(1)
 				}
 			}

@@ -24,6 +24,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -161,7 +162,7 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := retrieval.ExhaustiveTopK(v1, c.SIDs, c.Terms, scv1, c.K)
+	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), v1, c.SIDs, c.Terms, scv1, c.K)
 	if err != nil {
 		return nil, err
 	}
@@ -184,15 +185,15 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 			run  func() ([]retrieval.Scored, error)
 		}{
 			{"TA", func() ([]retrieval.Scored, error) {
-				r, _, err := retrieval.TA(s.st, c.SIDs, c.Terms, sc, kk)
+				r, _, err := retrieval.TACtx(context.Background(), s.st, c.SIDs, c.Terms, sc, kk)
 				return r, err
 			}},
 			{"NRA", func() ([]retrieval.Scored, error) {
-				r, _, err := retrieval.NRA(s.st, c.SIDs, c.Terms, kk)
+				r, _, err := retrieval.NRACtx(context.Background(), s.st, c.SIDs, c.Terms, kk)
 				return r, err
 			}},
 			{"Merge", func() ([]retrieval.Scored, error) {
-				r, _, err := retrieval.Merge(s.st, c.SIDs, c.Terms, kk)
+				r, _, err := retrieval.MergeCtx(context.Background(), s.st, c.SIDs, c.Terms, kk)
 				return r, err
 			}},
 			{"Auto", func() ([]retrieval.Scored, error) {
@@ -278,16 +279,16 @@ func runAuto(st *index.Store, c Case, sc *score.Scorer, kk int) ([]retrieval.Sco
 	d := pl.Plan(f)
 	switch d.Method {
 	case planner.TA:
-		r, _, err := retrieval.TA(st, c.SIDs, c.Terms, sc, kk)
+		r, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
 		return r, err
 	case planner.NRA:
-		r, _, err := retrieval.NRA(st, c.SIDs, c.Terms, kk)
+		r, _, err := retrieval.NRACtx(context.Background(), st, c.SIDs, c.Terms, kk)
 		return r, err
 	case planner.Merge:
-		r, _, err := retrieval.Merge(st, c.SIDs, c.Terms, kk)
+		r, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, kk)
 		return r, err
 	default:
-		r, _, err := retrieval.ExhaustiveTopK(st, c.SIDs, c.Terms, sc, kk)
+		r, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
 		return r, err
 	}
 }
@@ -394,7 +395,7 @@ func CheckCrashRecovery(c Case, rounds int, dir string) (*Mismatch, error) {
 	if _, err := retrieval.Materialize(st, c.SIDs, c.Terms, sc, index.KindRPL, index.KindERPL); err != nil {
 		return nil, err
 	}
-	base, _, err := retrieval.ExhaustiveTopK(st, c.SIDs, c.Terms, sc, c.K)
+	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), st, c.SIDs, c.Terms, sc, c.K)
 	if err != nil {
 		return nil, err
 	}
@@ -470,14 +471,14 @@ func checkRecovered(c Case, base []retrieval.Scored, db *storage.DB, dir string,
 	if kk <= 0 {
 		kk = 1 << 20
 	}
-	ta, _, err := retrieval.TA(st, c.SIDs, c.Terms, sc, kk)
+	ta, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
 	if err != nil {
 		return nil, err
 	}
 	if d := diffRankings(base, ta); d != "" {
 		return detail("TA after recovery: " + d), nil
 	}
-	mg, _, err := retrieval.Merge(st, c.SIDs, c.Terms, kk)
+	mg, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, kk)
 	if err != nil {
 		return nil, err
 	}

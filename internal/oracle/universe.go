@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	"trex/internal/corpus"
@@ -42,7 +43,7 @@ func checkUniverse(c Case, perturb perturbFunc) (*Mismatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := retrieval.ExhaustiveTopK(xv1, c.SIDs, c.Terms, sc, c.K)
+	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), xv1, c.SIDs, c.Terms, sc, c.K)
 	if err != nil {
 		return nil, err
 	}
@@ -84,19 +85,19 @@ func checkUniverseStore(c Case, universe, format string, col *corpus.Collection,
 		run  func() ([]retrieval.Scored, error)
 	}{
 		{"ERA", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.ExhaustiveTopK(st, c.SIDs, c.Terms, sc, c.K)
+			r, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), st, c.SIDs, c.Terms, sc, c.K)
 			return r, err
 		}},
 		{"TA", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.TA(st, c.SIDs, c.Terms, sc, kk)
+			r, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
 			return r, err
 		}},
 		{"NRA", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.NRA(st, c.SIDs, c.Terms, kk)
+			r, _, err := retrieval.NRACtx(context.Background(), st, c.SIDs, c.Terms, kk)
 			return r, err
 		}},
 		{"Merge", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.Merge(st, c.SIDs, c.Terms, kk)
+			r, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, kk)
 			return r, err
 		}},
 	}

@@ -283,15 +283,13 @@ func (p *Planner) ratio(m Method, f Features) (float64, uint64) {
 }
 
 // coldStartK is the k at or below which the cold-start rule prefers TA
-// over Merge — the paper's figures show TA winning only at small k, and
-// the pre-planner engine used the same threshold.
+// over Merge — the paper's figures show TA winning only at small k.
 const coldStartK = 10
 
 // coldPick is the static preference rule used before the model has any
 // samples for a query's eligible candidates: prefer the redundant lists
-// over the exhaustive scan, TA at small k, Merge otherwise — exactly
-// the legacy MethodAuto heuristic, so an uncalibrated engine behaves
-// like the pre-planner one.
+// over the exhaustive scan, TA at small k, Merge otherwise. It is the
+// only rule that resolves MethodAuto on an uncalibrated engine.
 func coldPick(f Features) Method {
 	switch {
 	case f.RPLCovered && f.K > 0 && f.K <= coldStartK:

@@ -167,3 +167,36 @@ func TestConcurrentPlanObserve(t *testing.T) {
 		t.Fatalf("lost observations: %d", p.Observations())
 	}
 }
+
+// TestColdStartRule pins the rule that resolves MethodAuto before the
+// model has samples: TA at 0 < k <= 10 when the RPLs cover the query,
+// else Merge when the ERPLs do, else TA, else ERA. RunnerUp is the
+// cost-ranked best other candidate (-1 when ERA is the only one). With
+// feat()'s volumes the priors rank TA < NRA < Merge < ERA at small k and
+// Merge < NRA < TA < ERA when TA must read its lists to the end.
+func TestColdStartRule(t *testing.T) {
+	const none Method = -1
+	type want struct{ method, runnerUp Method }
+	cases := []struct {
+		rpl, erpl bool
+		byK       map[int]want
+	}{
+		{false, false, map[int]want{0: {ERA, none}, 1: {ERA, none}, 10: {ERA, none}, 11: {ERA, none}, 1000: {ERA, none}}},
+		{true, false, map[int]want{0: {TA, NRA}, 1: {TA, NRA}, 10: {TA, NRA}, 11: {TA, NRA}, 1000: {TA, NRA}}},
+		{false, true, map[int]want{0: {Merge, ERA}, 1: {Merge, ERA}, 10: {Merge, ERA}, 11: {Merge, ERA}, 1000: {Merge, ERA}}},
+		{true, true, map[int]want{0: {Merge, NRA}, 1: {TA, NRA}, 10: {TA, NRA}, 11: {Merge, TA}, 1000: {Merge, NRA}}},
+	}
+	p := New()
+	for _, c := range cases {
+		for _, k := range []int{0, 1, 10, 11, 1000} {
+			f := feat()
+			f.RPLCovered, f.ERPLCovered, f.K = c.rpl, c.erpl, k
+			d := p.Plan(f)
+			w := c.byK[k]
+			if d.Method != w.method || d.RunnerUp != w.runnerUp || !d.ColdStart {
+				t.Errorf("rpl=%v erpl=%v k=%d: got (%v, runner-up %v, cold %v), want (%v, %v, true)",
+					c.rpl, c.erpl, k, d.Method, d.RunnerUp, d.ColdStart, w.method, w.runnerUp)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -76,7 +77,7 @@ func BenchmarkTAvsNRA(b *testing.B) {
 		b.Run(fmt.Sprintf("ta/k=%d", k), func(b *testing.B) {
 			var sorted, random int
 			for i := 0; i < b.N; i++ {
-				_, st, err := TA(e.store, e.sids, e.terms, e.sc, k)
+				_, st, err := TACtx(context.Background(), e.store, e.sids, e.terms, e.sc, k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -88,7 +89,7 @@ func BenchmarkTAvsNRA(b *testing.B) {
 		b.Run(fmt.Sprintf("nra/k=%d", k), func(b *testing.B) {
 			var sorted int
 			for i := 0; i < b.N; i++ {
-				_, st, err := NRA(e.store, e.sids, e.terms, k)
+				_, st, err := NRACtx(context.Background(), e.store, e.sids, e.terms, k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -110,7 +111,7 @@ func TestTAAllocationCeiling(t *testing.T) {
 	e := retrievalBenchEnv(t)
 	const ceiling = 560
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := TA(e.store, e.sids, e.terms, e.sc, 1000); err != nil {
+		if _, _, err := TACtx(context.Background(), e.store, e.sids, e.terms, e.sc, 1000); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -123,7 +124,7 @@ func TestTAAllocationCeiling(t *testing.T) {
 func BenchmarkERABaseline(b *testing.B) {
 	e := retrievalBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ERA(e.store, e.sids, e.terms); err != nil {
+		if _, _, err := ERACtx(context.Background(), e.store, e.sids, e.terms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +134,7 @@ func BenchmarkERABaseline(b *testing.B) {
 func BenchmarkMergeBaseline(b *testing.B) {
 	e := retrievalBenchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Merge(e.store, e.sids, e.terms, 10); err != nil {
+		if _, _, err := MergeCtx(context.Background(), e.store, e.sids, e.terms, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

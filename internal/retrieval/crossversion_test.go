@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestCrossVersionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 10, 0} {
-			base, _, err := ExhaustiveTopK(v1, sids, terms, scv1, k)
+			base, _, err := ExhaustiveTopKCtx(context.Background(), v1, sids, terms, scv1, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,17 +116,17 @@ func TestCrossVersionEquivalence(t *testing.T) {
 				if kk == 0 {
 					kk = 1 << 20
 				}
-				ta, _, err := TA(st, sids, terms, sc, kk)
+				ta, _, err := TACtx(context.Background(), st, sids, terms, sc, kk)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameRanking(t, name+"/ta", base, ta)
-				nra, _, err := NRA(st, sids, terms, kk)
+				nra, _, err := NRACtx(context.Background(), st, sids, terms, kk)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameRanking(t, name+"/nra", base, nra)
-				mrg, _, err := Merge(st, sids, terms, kk)
+				mrg, _, err := MergeCtx(context.Background(), st, sids, terms, kk)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +153,7 @@ func TestMergeSkipsOverBlocks(t *testing.T) {
 		_, err = Materialize(st, sids, terms, sc, index.KindRPL, index.KindERPL)
 		return err
 	})
-	_, stats, err := Merge(st, sids, terms, 10)
+	_, stats, err := MergeCtx(context.Background(), st, sids, terms, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,24 +9,20 @@ import (
 	"trex/internal/score"
 )
 
-// ERA is the exhaustive retrieval algorithm of Figure 2. Given the sids
-// and terms of a translated clause, it returns every element that (1) is
-// in the extent of one of the sids and (2) contains at least one of the
-// terms, together with its term-frequency vector.
+// ERACtx is the exhaustive retrieval algorithm of Figure 2. Given the
+// sids and terms of a translated clause, it returns every element that
+// (1) is in the extent of one of the sids and (2) contains at least one
+// of the terms, together with its term-frequency vector.
 //
 // It advances one iterator per term over the posting lists and one
 // iterator per sid over the Elements table, accumulating an m x n counter
 // matrix C where C[i][x] is the frequency of term x inside the current
 // element of sid i.
-func ERA(st *index.Store, sids []uint32, terms []string) ([]ElementTF, *Stats, error) {
-	return ERACtx(context.Background(), st, sids, terms)
-}
-
-// ERACtx is ERA with a cancellation/deadline context, polled every few
-// hundred positions of the sweep. On an expired deadline it flushes the
-// open elements (so partially counted elements are still emitted with
-// the frequencies seen so far) and returns with Stats.Approximate set;
-// on cancellation it returns the context's error.
+//
+// ctx is polled every few hundred positions of the sweep. On an expired
+// deadline it flushes the open elements (so partially counted elements
+// are still emitted with the frequencies seen so far) and returns with
+// Stats.Approximate set; on cancellation it returns the context's error.
 //
 // Both inputs only move forward, so the sweep keeps two pieces of state
 // between positions: the sids whose current element contains the last
@@ -185,15 +181,11 @@ func ERACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string)
 	return out, stats, nil
 }
 
-// ExhaustiveTopK evaluates a clause with ERA and ranks the results with
-// the scorer, returning the top k (all results when k <= 0). This is the
-// baseline every query can fall back to: it needs no redundant indexes.
-func ExhaustiveTopK(st *index.Store, sids []uint32, terms []string, sc *score.Scorer, k int) ([]Scored, *Stats, error) {
-	return ExhaustiveTopKCtx(context.Background(), st, sids, terms, sc, k)
-}
-
-// ExhaustiveTopKCtx is ExhaustiveTopK over ERACtx: an expired deadline
-// yields the ranked best-effort prefix with Stats.Approximate set.
+// ExhaustiveTopKCtx evaluates a clause with ERACtx and ranks the results
+// with the scorer, returning the top k (all results when k <= 0). This
+// is the baseline every query can fall back to: it needs no redundant
+// indexes. An expired deadline yields the ranked best-effort prefix with
+// Stats.Approximate set.
 func ExhaustiveTopKCtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, sc *score.Scorer, k int) ([]Scored, *Stats, error) {
 	start := time.Now()
 	rows, stats, err := ERACtx(ctx, st, sids, terms)

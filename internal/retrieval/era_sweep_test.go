@@ -272,7 +272,7 @@ func TestERASweepMatchesSeekPerAdvance(t *testing.T) {
 				requireSameERA(t, label, e.store, sids, ts, background)
 			}
 			// A deadline at every poll point of the widest sweep.
-			_, full, err := ERA(e.store, all, terms)
+			_, full, err := ERACtx(context.Background(), e.store, all, terms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +332,7 @@ func frequentTerms(t *testing.T, st *index.Store, n int) []string {
 // reports no heap operations.
 func TestExhaustiveTopKSelectsSortedPrefix(t *testing.T) {
 	e := retrievalBenchEnv(t)
-	full, _, err := ExhaustiveTopK(e.store, e.sids, e.terms, e.sc, 0)
+	full, _, err := ExhaustiveTopKCtx(context.Background(), e.store, e.sids, e.terms, e.sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestExhaustiveTopKSelectsSortedPrefix(t *testing.T) {
 		t.Fatalf("fixture: %d answers", n)
 	}
 	for _, k := range []int{1, 2, n - 1, n, n + 1} {
-		got, stats, err := ExhaustiveTopK(e.store, e.sids, e.terms, e.sc, k)
+		got, stats, err := ExhaustiveTopKCtx(context.Background(), e.store, e.sids, e.terms, e.sc, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestERAAllocationCeiling(t *testing.T) {
 	e := retrievalBenchEnv(t)
 	const ceiling = 400
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := ERA(e.store, e.sids, e.terms); err != nil {
+		if _, _, err := ERACtx(context.Background(), e.store, e.sids, e.terms); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -382,7 +382,7 @@ func TestERAAllocationCeiling(t *testing.T) {
 func TestERAPageTouchCeiling(t *testing.T) {
 	e := retrievalBenchEnv(t)
 	const ceiling = 800
-	_, stats, err := ERA(e.store, e.sids, e.terms)
+	_, stats, err := ERACtx(context.Background(), e.store, e.sids, e.terms)
 	if err != nil {
 		t.Fatal(err)
 	}

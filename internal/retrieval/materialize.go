@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"errors"
 	"slices"
 
@@ -22,7 +23,7 @@ type MaterializeStats struct {
 	RPLRows  int
 	ERPLRows int
 	// ERA is the run's ERA pass over the base tables. Its counters are the
-	// ones ExhaustiveTopK reports for the same clause (ranking adds none),
+	// ones ExhaustiveTopKCtx reports for the same clause (ranking adds none),
 	// so a caller pricing ERA right after a build can read them instead of
 	// sweeping the base tables again.
 	ERA *Stats
@@ -103,7 +104,7 @@ func Materialize(st *index.Store, sids []uint32, terms []string, sc *score.Score
 		}
 	}
 
-	rows, era, err := ERA(st, sids, terms)
+	rows, era, err := ERACtx(context.Background(), st, sids, terms)
 	if err != nil {
 		return nil, err
 	}
@@ -270,14 +271,14 @@ func (p *pairLists) bounds(j int) (lo, hi int) {
 }
 
 // MaterializeV1 writes row-per-entry (v1) lists — the seed's format. It
-// remains for cross-version testing and for the before/after index-size
-// comparison in the bench suite; production paths use Materialize.
+// remains for cross-version testing (the oracle's v1 stores); production
+// paths use Materialize.
 func MaterializeV1(st *index.Store, sids []uint32, terms []string, sc *score.Scorer, kinds ...index.ListKind) (*MaterializeStats, error) {
 	wantRPL, wantERPL, err := WantKinds(kinds)
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := ERA(st, sids, terms)
+	rows, _, err := ERACtx(context.Background(), st, sids, terms)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,7 +41,7 @@ func referenceMaterialize(st *index.Store, sids []uint32, terms []string, sc *sc
 			}
 		}
 	}
-	rows, _, err := ERA(st, sids, terms)
+	rows, _, err := ERACtx(context.Background(), st, sids, terms)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +247,7 @@ func TestMaterializeMatchesSortedReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, _, err := ERA(got, sids, fx.terms)
+				rows, _, err := ERACtx(context.Background(), got, sids, fx.terms)
 				if err != nil {
 					t.Fatal(err)
 				}

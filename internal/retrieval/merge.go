@@ -8,7 +8,7 @@ import (
 	"trex/internal/index"
 )
 
-// Merge evaluates a clause with the Merge algorithm of Figure 3. Each
+// MergeCtx evaluates a clause with the Merge algorithm of Figure 3. Each
 // term's ERPL segments for the query's sids are merged into one
 // position-ordered stream (the two-step evaluation of Section 4); Merge
 // then sweeps the streams in lockstep, summing the scores of every stream
@@ -27,15 +27,10 @@ import (
 // costs no seeks before retrieval starts. Only a run the deadline cut
 // short looks the totals up.
 //
-// k <= 0 returns all answers.
-func Merge(st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
-	return MergeCtx(context.Background(), st, sids, terms, k)
-}
-
-// MergeCtx is Merge with a cancellation/deadline context, polled every
-// few frontier steps. On an expired deadline it ranks whatever answers
-// the sweep has accumulated and returns them with Stats.Approximate
-// set; on cancellation it returns the context's error.
+// k <= 0 returns all answers. ctx is polled every few frontier steps. On
+// an expired deadline it ranks whatever answers the sweep has
+// accumulated and returns them with Stats.Approximate set; on
+// cancellation it returns the context's error.
 func MergeCtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
 	start := time.Now()
 	io := st.IOStats()

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -75,7 +76,7 @@ func (h *refERPLHeap) Pop() any {
 // ERA rows.
 func writeMixedERPLs(t *testing.T, st *index.Store, sids []uint32, terms []string, score func(term, tf, length int) float64) []ElementTF {
 	t.Helper()
-	rows, _, err := ERA(st, sids, terms)
+	rows, _, err := ERACtx(context.Background(), st, sids, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestMergeSelectsSortedPrefix(t *testing.T) {
 		}
 		ks := []int{1, 2, n - 1, n, n + 1, 0, -1}
 		for _, k := range ks {
-			got, stats, err := Merge(e.store, all, terms, k)
+			got, stats, err := MergeCtx(context.Background(), e.store, all, terms, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +311,7 @@ func TestMergeSelectsSortedPrefix(t *testing.T) {
 					k, stats.HeapOps, stats.Answers, stats.Approximate, stats.DepthFraction(), n)
 			}
 		}
-		_, full, err := Merge(e.store, all, terms, 0)
+		_, full, err := MergeCtx(context.Background(), e.store, all, terms, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +364,7 @@ func TestMergeSelectsSortedPrefix(t *testing.T) {
 // catalog; run to the end, they still cost no catalog probe and equal it.
 func TestMergeTruncatedReportsDepth(t *testing.T) {
 	e := retrievalBenchEnv(t)
-	_, full, err := Merge(e.store, e.sids, e.terms, 10)
+	_, full, err := MergeCtx(context.Background(), e.store, e.sids, e.terms, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestMergeAllocationCeiling(t *testing.T) {
 	e := retrievalBenchEnv(t)
 	const ceiling = 700 // the race detector adds about 170
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := Merge(e.store, e.sids, e.terms, 1000); err != nil {
+		if _, _, err := MergeCtx(context.Background(), e.store, e.sids, e.terms, 1000); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -424,7 +425,7 @@ func TestNRAAllocationCeiling(t *testing.T) {
 	e := retrievalBenchEnv(t)
 	const ceiling = 3000
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := NRA(e.store, e.sids, e.terms, 1000); err != nil {
+		if _, _, err := NRACtx(context.Background(), e.store, e.sids, e.terms, 1000); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -28,10 +28,10 @@ func (c *nraCand) exactScore() float64 {
 	return total
 }
 
-// NRA evaluates a clause with a sorted-access-only threshold algorithm in
-// the style the paper attributes to TopX: no random accesses — candidates
-// carry [worst, best] score bounds that tighten as the score-ordered RPLs
-// are consumed. This is the variant whose behavior the paper's TA curves
+// NRACtx evaluates a clause with a sorted-access-only threshold algorithm
+// in the style the paper attributes to TopX: no random accesses —
+// candidates carry [worst, best] score bounds that tighten as the
+// score-ordered RPLs are consumed. This is the variant whose behavior the paper's TA curves
 // show: with modest k it usually reads the lists to the end, because a
 // candidate is only resolved once every list has either yielded it or
 // been exhausted (a term a candidate contains must appear in that term's
@@ -39,15 +39,11 @@ func (c *nraCand) exactScore() float64 {
 //
 // The returned ranking is exact and identical to TA/Merge/ERA. Queries
 // are limited to 64 terms (far beyond NEXI practice).
-func NRA(st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
-	return NRACtx(context.Background(), st, sids, terms, k)
-}
-
-// NRACtx is NRA with a cancellation/deadline context, polled once per
-// sorted-access round. On an expired deadline it ranks the candidates
-// accumulated so far by their resolved contributions and returns them
-// with Stats.Approximate set; on cancellation it returns the context's
-// error.
+//
+// ctx is polled once per sorted-access round. On an expired deadline it
+// ranks the candidates accumulated so far by their resolved
+// contributions and returns them with Stats.Approximate set; on
+// cancellation it returns the context's error.
 func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
 	start := time.Now()
 	io := st.IOStats()

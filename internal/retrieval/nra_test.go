@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"testing"
 
 	"trex/internal/corpus"
@@ -21,11 +22,11 @@ func TestNRAAgreesWithOtherMethods(t *testing.T) {
 		e.materialize(t, sids, terms)
 		sc := e.scorer(t, terms)
 		for _, k := range []int{1, 3, 20, 100000} {
-			era, _, err := ExhaustiveTopK(e.store, sids, terms, sc, k)
+			era, _, err := ExhaustiveTopKCtx(context.Background(), e.store, sids, terms, sc, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nra, _, err := NRA(e.store, sids, terms, k)
+			nra, _, err := NRACtx(context.Background(), e.store, sids, terms, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,11 +52,11 @@ func TestNRAReadsDeeperThanTA(t *testing.T) {
 	e.materialize(t, sids, terms)
 	sc := e.scorer(t, terms)
 	for _, k := range []int{1, 10, 100} {
-		_, taStats, err := TA(e.store, sids, terms, sc, k)
+		_, taStats, err := TACtx(context.Background(), e.store, sids, terms, sc, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, nraStats, err := NRA(e.store, sids, terms, k)
+		_, nraStats, err := NRACtx(context.Background(), e.store, sids, terms, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,16 +72,16 @@ func TestNRAReadsDeeperThanTA(t *testing.T) {
 
 func TestNRAEmptyInputs(t *testing.T) {
 	e := handEnv(t, `<a><b>x</b></a>`)
-	res, _, err := NRA(e.store, nil, []string{"x"}, 5)
+	res, _, err := NRACtx(context.Background(), e.store, nil, []string{"x"}, 5)
 	if err != nil || res != nil {
 		t.Fatalf("no sids: %v, %v", res, err)
 	}
-	res, _, err = NRA(e.store, []uint32{1}, nil, 5)
+	res, _, err = NRACtx(context.Background(), e.store, []uint32{1}, nil, 5)
 	if err != nil || res != nil {
 		t.Fatalf("no terms: %v, %v", res, err)
 	}
 	// Unmaterialized lists: empty result, no error.
-	res, _, err = NRA(e.store, []uint32{1}, []string{"x"}, 5)
+	res, _, err = NRACtx(context.Background(), e.store, []uint32{1}, []string{"x"}, 5)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty lists: %v, %v", res, err)
 	}
@@ -92,7 +93,7 @@ func TestNRASingleList(t *testing.T) {
 	)
 	sids, terms := e.clause(t, `//a//b[about(., solo)]`, 0)
 	e.materialize(t, sids, terms)
-	res, stats, err := NRA(e.store, sids, terms, 2)
+	res, stats, err := NRACtx(context.Background(), e.store, sids, terms, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -92,19 +93,19 @@ func TestQuickAllMethodsAgreeOnRandomCorpora(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 2, 7, 1000} {
-			era, _, err := ExhaustiveTopK(st, sids, terms, sc, k)
+			era, _, err := ExhaustiveTopKCtx(context.Background(), st, sids, terms, sc, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ta, _, err := TA(st, sids, terms, sc, k)
+			ta, _, err := TACtx(context.Background(), st, sids, terms, sc, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nra, _, err := NRA(st, sids, terms, k)
+			nra, _, err := NRACtx(context.Background(), st, sids, terms, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mrg, _, err := Merge(st, sids, terms, k)
+			mrg, _, err := MergeCtx(context.Background(), st, sids, terms, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -86,7 +87,7 @@ func TestERASingleSIDSingleTerm(t *testing.T) {
 		`<a><b>apple</b></a>`,
 	)
 	sids, terms := e.clause(t, `//a//b[about(., apple)]`, 0)
-	rows, stats, err := ERA(e.store, sids, terms)
+	rows, stats, err := ERACtx(context.Background(), e.store, sids, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestERAMultiTermMatrix(t *testing.T) {
 		`<a><b>xx yy</b><b>yy yy</b><b>zz</b></a>`,
 	)
 	sids, _ := e.clause(t, `//a//b[about(., xx yy)]`, 0)
-	rows, _, err := ERA(e.store, sids, []string{"xx", "yy"})
+	rows, _, err := ERACtx(context.Background(), e.store, sids, []string{"xx", "yy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestERAMultipleSIDsNestedExtents(t *testing.T) {
 	artSIDs, _ := e.clause(t, q, 0)
 	secSIDs, _ := e.clause(t, `//article//sec[about(., target)]`, 0)
 	all := append(append([]uint32{}, artSIDs...), secSIDs...)
-	rows, _, err := ERA(e.store, all, []string{"target"})
+	rows, _, err := ERACtx(context.Background(), e.store, all, []string{"target"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +159,15 @@ func TestERAMultipleSIDsNestedExtents(t *testing.T) {
 
 func TestERAEmptyInputs(t *testing.T) {
 	e := handEnv(t, `<a><b>x</b></a>`)
-	rows, _, err := ERA(e.store, nil, []string{"x"})
+	rows, _, err := ERACtx(context.Background(), e.store, nil, []string{"x"})
 	if err != nil || rows != nil {
 		t.Fatalf("no sids: %v, %v", rows, err)
 	}
-	rows, _, err = ERA(e.store, []uint32{1}, nil)
+	rows, _, err = ERACtx(context.Background(), e.store, []uint32{1}, nil)
 	if err != nil || rows != nil {
 		t.Fatalf("no terms: %v, %v", rows, err)
 	}
-	rows, _, err = ERA(e.store, []uint32{1}, []string{"absentterm"})
+	rows, _, err = ERACtx(context.Background(), e.store, []uint32{1}, []string{"absentterm"})
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("absent term: %v, %v", rows, err)
 	}
@@ -178,7 +179,7 @@ func TestTFInSpanMatchesERA(t *testing.T) {
 		`<a><b>apple</b></a>`,
 	)
 	sids, _ := e.clause(t, `//a//b[about(., apple pear)]`, 0)
-	rows, _, err := ERA(e.store, sids, []string{"apple", "pear"})
+	rows, _, err := ERACtx(context.Background(), e.store, sids, []string{"apple", "pear"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,15 +280,15 @@ func TestThreeMethodsAgree(t *testing.T) {
 		sc := e.scorer(t, terms)
 
 		for _, k := range []int{1, 5, 50, 100000} {
-			era, _, err := ExhaustiveTopK(e.store, sids, terms, sc, k)
+			era, _, err := ExhaustiveTopKCtx(context.Background(), e.store, sids, terms, sc, k)
 			if err != nil {
 				t.Fatalf("%s ERA: %v", src, err)
 			}
-			ta, _, err := TA(e.store, sids, terms, sc, k)
+			ta, _, err := TACtx(context.Background(), e.store, sids, terms, sc, k)
 			if err != nil {
 				t.Fatalf("%s TA: %v", src, err)
 			}
-			mrg, _, err := Merge(e.store, sids, terms, k)
+			mrg, _, err := MergeCtx(context.Background(), e.store, sids, terms, k)
 			if err != nil {
 				t.Fatalf("%s Merge: %v", src, err)
 			}
@@ -321,7 +322,7 @@ func TestTAStats(t *testing.T) {
 	sids, terms := e.clause(t, `//article//sec[about(., ontologies case study)]`, 0)
 	e.materialize(t, sids, terms)
 	sc := e.scorer(t, terms)
-	_, stats, err := TA(e.store, sids, terms, sc, 10)
+	_, stats, err := TACtx(context.Background(), e.store, sids, terms, sc, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestTASkipsForeignSIDs(t *testing.T) {
 	e.materialize(t, append(append([]uint32{}, bSIDs...), cSIDs...), []string{"shared"})
 	sc := e.scorer(t, []string{"shared"})
 	// Query only the b extent: the c entry must be skipped.
-	res, stats, err := TA(e.store, bSIDs, []string{"shared"}, sc, 10)
+	res, stats, err := TACtx(context.Background(), e.store, bSIDs, []string{"shared"}, sc, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +373,11 @@ func TestMergeComputesAllThenTruncates(t *testing.T) {
 	e := newEnv(t, col)
 	sids, terms := e.clause(t, `//article//p[about(., model checking state)]`, 0)
 	e.materialize(t, sids, terms)
-	all, statsAll, err := Merge(e.store, sids, terms, 0)
+	all, statsAll, err := MergeCtx(context.Background(), e.store, sids, terms, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top5, stats5, err := Merge(e.store, sids, terms, 5)
+	top5, stats5, err := MergeCtx(context.Background(), e.store, sids, terms, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +400,11 @@ func TestMergeComputesAllThenTruncates(t *testing.T) {
 
 func TestMergeEmptyLists(t *testing.T) {
 	e := handEnv(t, `<a><b>x</b></a>`)
-	res, _, err := Merge(e.store, []uint32{1}, []string{"neverbuilt"}, 10)
+	res, _, err := MergeCtx(context.Background(), e.store, []uint32{1}, []string{"neverbuilt"}, 10)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("Merge over empty lists = %v, %v", res, err)
 	}
-	res, _, err = Merge(e.store, nil, []string{"x"}, 10)
+	res, _, err = MergeCtx(context.Background(), e.store, nil, []string{"x"}, 10)
 	if err != nil || res != nil {
 		t.Fatalf("Merge with no sids = %v, %v", res, err)
 	}
@@ -452,7 +453,7 @@ func TestERAAgainstNaiveScan(t *testing.T) {
 	col := corpus.GenerateWiki(10, 21)
 	e := newEnv(t, col)
 	sids, terms := e.clause(t, `//article//p[about(., genetic algorithm)]`, 0)
-	rows, _, err := ERA(e.store, sids, terms)
+	rows, _, err := ERACtx(context.Background(), e.store, sids, terms)
 	if err != nil {
 		t.Fatal(err)
 	}

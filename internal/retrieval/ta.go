@@ -8,7 +8,7 @@ import (
 	"trex/internal/score"
 )
 
-// TA evaluates a clause with the threshold algorithm over RPLs. It
+// TACtx evaluates a clause with the threshold algorithm over RPLs. It
 // performs round-robin sorted accesses on each term's relevance posting
 // list (skipping entries whose sid is not in the query's sid set), random
 // accesses against the base tables to complete each newly seen element's
@@ -17,14 +17,10 @@ import (
 //
 // The returned stats separate the time spent managing the top-k heap
 // (Stats.HeapTime); the paper's ITA curve is Stats.ITATime().
-func TA(st *index.Store, sids []uint32, terms []string, sc *score.Scorer, k int) ([]Scored, *Stats, error) {
-	return TACtx(context.Background(), st, sids, terms, sc, k)
-}
-
-// TACtx is TA with a cancellation/deadline context, polled once per
-// sorted-access round. On an expired deadline it stops at the round
-// boundary and returns the current top-k heap with Stats.Approximate
-// set; on cancellation it returns the context's error.
+//
+// ctx is polled once per sorted-access round. On an expired deadline it
+// stops at the round boundary and returns the current top-k heap with
+// Stats.Approximate set; on cancellation it returns the context's error.
 func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, sc *score.Scorer, k int) ([]Scored, *Stats, error) {
 	start := time.Now()
 	io := st.IOStats()

@@ -55,7 +55,6 @@ func FuzzReader(f *testing.F) {
 				_ = c.Value()
 			}
 			_, _ = c.SeekPrefix([]byte("key"))
-			tb.Range(nil, nil, func(k, v []byte) bool { return true })
 		}
 	})
 }

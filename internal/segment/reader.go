@@ -270,21 +270,6 @@ func (t *Table) Get(key []byte) ([]byte, bool) {
 	return t.value(i), true
 }
 
-// Range calls fn for every row with lo <= key < hi (nil hi = to the
-// end), stopping early when fn returns false. The slices passed to fn
-// are subslices of the mapping, valid only during the call.
-func (t *Table) Range(lo, hi []byte, fn func(key, value []byte) bool) {
-	for i := t.search(lo); i < t.rows; i++ {
-		k := t.key(i)
-		if hi != nil && bytes.Compare(k, hi) >= 0 {
-			return
-		}
-		if !fn(k, t.value(i)) {
-			return
-		}
-	}
-}
-
 // Cursor returns a new unpositioned cursor over the table. counters may
 // be nil; when set, every row the cursor lands on is accounted to it.
 func (t *Table) Cursor() *Cursor { return &Cursor{t: t, i: -1} }

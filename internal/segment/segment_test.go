@@ -75,16 +75,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("walked %d rows, want 300", i)
 	}
 
-	// Range honors both bounds.
-	var got []string
-	ta.Range([]byte("key-00010"), []byte("key-00013"), func(k, v []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	if len(got) != 3 || got[0] != "key-00010" || got[2] != "key-00012" {
-		t.Fatalf("Range = %v", got)
-	}
-
 	// SeekPrefix/NextPrefix mirror the storage cursor contract.
 	ok, _ := c.SeekPrefix([]byte("key-0002"))
 	if !ok || string(c.Key()) != "key-00020" {
@@ -130,8 +120,8 @@ func TestCorruptImagesError(t *testing.T) {
 	}
 }
 
-// TestZeroAllocReads is the hot-path contract: Get, Seek, Next and Range
-// over the mapped bytes allocate nothing.
+// TestZeroAllocReads is the hot-path contract: Get, Seek and Next over
+// the mapped bytes allocate nothing.
 func TestZeroAllocReads(t *testing.T) {
 	img, rows := buildImage(t, 500, 1)
 	r, err := OpenBytes(img)
@@ -159,11 +149,6 @@ func TestZeroAllocReads(t *testing.T) {
 		_ = c.Value()
 	}); n != 0 {
 		t.Fatalf("Seek/Next allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		ta.Range(rows[0][0], rows[20][0], func(k, v []byte) bool { return true })
-	}); n != 0 {
-		t.Fatalf("Range allocates %v/op", n)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package segment implements immutable, generation-numbered index
 // segments: a one-shot writer that lays sorted key/value rows into a
-// single flat file, and a zero-allocation reader that serves Get, Seek
-// and Range directly over the mapped bytes — no page cache, no row
+// single flat file, and a zero-allocation reader that serves Get and
+// cursor seeks directly over the mapped bytes — no page cache, no row
 // rehydration. The index *is* the bytes (in the spirit of the lindb
 // byte-array B+tree reader): queries binary-search a fixed-width skip
 // directory and return subslices of the mapping.

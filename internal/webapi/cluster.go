@@ -113,7 +113,7 @@ func (s *ClusterServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	method, err := parseMethod(r.URL.Query().Get("method"))
+	method, err := trex.ParseMethod(r.URL.Query().Get("method"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

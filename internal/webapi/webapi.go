@@ -151,25 +151,6 @@ func planCandidates(d *planner.Decision) []PlanCandidate {
 	return out
 }
 
-func parseMethod(s string) (trex.Method, error) {
-	switch s {
-	case "", "auto":
-		return trex.MethodAuto, nil
-	case "era":
-		return trex.MethodERA, nil
-	case "ta":
-		return trex.MethodTA, nil
-	case "nra":
-		return trex.MethodNRA, nil
-	case "merge":
-		return trex.MethodMerge, nil
-	case "race":
-		return trex.MethodRace, nil
-	default:
-		return trex.MethodAuto, fmt.Errorf("unknown method %q", s)
-	}
-}
-
 // queryParam extracts and translates the q parameter: lang=jsonpath
 // rebinds a JSONPath-flavored query onto NEXI (the natural idiom for a
 // JSON corpus); lang=nexi (or absent) passes q through.
@@ -203,7 +184,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	method, err := parseMethod(r.URL.Query().Get("method"))
+	method, err := trex.ParseMethod(r.URL.Query().Get("method"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -466,7 +447,6 @@ func (s *Server) handleAutopilot(w http.ResponseWriter, r *http.Request) {
 // handlePlanner reports the query planner's state: per-method decision
 // counts, shadow-sampling counters (samples, errors, mispredictions),
 // and model calibration (observations, buckets, staleness).
-// enabled=false when the engine runs with the planner disabled.
 func (s *Server) handlePlanner(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.eng.PlannerStatus())
 }
@@ -484,7 +464,7 @@ const indexHTML = `<!doctype html>
  <input id="q" type="text" placeholder="//article[about(., xml)]//sec[about(., retrieval)]">
  k <input id="k" type="number" value="10" style="width:4rem">
  <select id="m"><option>auto</option><option>era</option><option>ta</option>
- <option>nra</option><option>merge</option><option>race</option></select>
+ <option>nra</option><option>merge</option></select>
  <button>search</button>
 </form>
 <div id="out"></div>

@@ -85,8 +85,10 @@ func TestSearchErrors(t *testing.T) {
 	if code := getJSON(t, ts, "/search?k=-1&q="+url.QueryEscape(testQuery), &e); code != http.StatusBadRequest {
 		t.Fatalf("bad k status = %d", code)
 	}
-	if code := getJSON(t, ts, "/search?method=warp&q="+url.QueryEscape(testQuery), &e); code != http.StatusBadRequest {
-		t.Fatalf("bad method status = %d", code)
+	for _, m := range []string{"warp", "race"} {
+		if code := getJSON(t, ts, "/search?method="+m+"&q="+url.QueryEscape(testQuery), &e); code != http.StatusBadRequest {
+			t.Fatalf("method=%s status = %d", m, code)
+		}
 	}
 }
 
@@ -187,9 +189,6 @@ func TestPlannerEndpoint(t *testing.T) {
 	if code := getJSON(t, ts, "/planner", &st); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	if !st["enabled"].(bool) {
-		t.Fatal("planner reported disabled on a default engine")
-	}
 	if st["shadowFraction"].(float64) != trex.DefaultShadowFraction {
 		t.Fatalf("shadowFraction = %v", st["shadowFraction"])
 	}
@@ -216,25 +215,6 @@ func TestPlannerEndpoint(t *testing.T) {
 	}
 	if st["observations"].(float64) < 1 {
 		t.Fatalf("observations = %v", st["observations"])
-	}
-
-	// A planner-disabled engine still answers, flagged disabled.
-	col := corpus.GenerateIEEE(5, 404)
-	eng, err := trex.CreateMemory(col, &trex.Options{
-		Planner: &trex.PlannerOptions{Disabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	ts2 := httptest.NewServer(New(eng, false))
-	t.Cleanup(ts2.Close)
-	var off map[string]any
-	if code := getJSON(t, ts2, "/planner", &off); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if off["enabled"].(bool) {
-		t.Fatal("planner reported enabled on a disabled engine")
 	}
 }
 

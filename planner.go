@@ -3,7 +3,6 @@ package trex
 import (
 	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,13 +16,8 @@ import (
 // PlannerOptions configures the online query planner: the cost model
 // that resolves MethodAuto to a concrete retrieval strategy per query,
 // calibrated continuously from observed runs. A nil pointer in Options
-// enables the planner with defaults — planning is the intended steady
-// state; set Disabled to fall back to the legacy static heuristic
-// (coverage plus a fixed k threshold).
+// uses the defaults.
 type PlannerOptions struct {
-	// Disabled reverts MethodAuto to the static pick and turns off
-	// observation, shadow sampling and the trex_planner_* metrics.
-	Disabled bool
 	// ShadowFraction is the fraction of auto-planned queries that also
 	// run the predicted runner-up in the background ("shadow sampling"),
 	// under its own I/O guard window, to keep the model honest: the
@@ -61,11 +55,6 @@ type plannerState struct {
 	// regret is the misprediction regret histogram ((chosen - shadow) /
 	// shadow measured cost); nil when telemetry is disabled.
 	regret *telemetry.Histogram
-
-	// shadowWG tracks in-flight shadow goroutines so tests (and callers
-	// that want deterministic shadow accounting) can drain them; the
-	// engine-level inflight group is what writers wait on.
-	shadowWG sync.WaitGroup
 }
 
 // initPlanner wires the planner per opts. Called once from build/Open
@@ -74,9 +63,6 @@ func (e *Engine) initPlanner(opts *PlannerOptions) {
 	var o PlannerOptions
 	if opts != nil {
 		o = *opts
-	}
-	if o.Disabled {
-		return
 	}
 	frac := o.ShadowFraction
 	switch {
@@ -108,7 +94,7 @@ func registerPlannerMetrics(reg *telemetry.Registry, p *plannerState) {
 			func() uint64 { return p.decisions[mm].Load() })
 	}
 	reg.CounterFunc("trex_planner_fallbacks_total",
-		"MethodAuto resolutions that fell back to the static heuristic (feature extraction failed).", nil,
+		"MethodAuto resolutions that fell back to ERA (feature extraction failed).", nil,
 		p.fallbacks.Load)
 	reg.CounterFunc("trex_planner_shadow_samples_total",
 		"Auto-planned queries that additionally ran the predicted runner-up.", nil,
@@ -152,7 +138,7 @@ func toEngineMethod(m planner.Method) Method {
 }
 
 // toPlannerMethod maps an executed engine method to the planner enum;
-// ok is false for methods the model does not track (Auto, Race).
+// ok is false for MethodAuto, which never executes as itself.
 func toPlannerMethod(m Method) (planner.Method, bool) {
 	switch m {
 	case MethodERA:
@@ -219,15 +205,14 @@ func (e *Engine) planFeatures(sids []uint32, terms []string, kEval int) (planner
 // cost model. Approximate (deadline-stopped) runs are skipped — their
 // cost covers an unknown fraction of the work.
 func (e *Engine) observeRun(m Method, f planner.Features, st *retrieval.Stats) {
-	p := e.pln
-	if p == nil || st == nil || st.Approximate {
+	if st == nil || st.Approximate {
 		return
 	}
 	pm, ok := toPlannerMethod(m)
 	if !ok {
 		return
 	}
-	p.model.Observe(pm, f, st.CostProxy())
+	e.pln.model.Observe(pm, f, st.CostProxy())
 }
 
 // shouldShadow implements the deterministic sampler.
@@ -241,41 +226,24 @@ func (p *plannerState) shouldShadow() bool {
 }
 
 // launchShadow runs the planner's runner-up in the background for one
-// sampled auto-planned query, mirroring a MethodRace loser's lifecycle:
-// registered with the engine's inflight group while the caller still
-// holds the read lock (so writers drain it before mutating storage),
-// measuring under its own guard window (so its I/O taints any exactness
-// window it overlaps instead of corrupting one), and detached from the
-// caller's context. The shadow's measured cost calibrates the model;
-// when it beats the chosen method's cost, the misprediction and its
-// relative regret are recorded.
+// sampled auto-planned query: registered with the engine's inflight
+// group while the caller still holds the read lock (so writers drain it
+// before mutating storage), measuring under its own guard window (so
+// its I/O taints any exactness window it overlaps instead of corrupting
+// one), and detached from the caller's context. The shadow's measured
+// cost calibrates the model; when it beats the chosen method's cost,
+// the misprediction and its relative regret are recorded.
 func (e *Engine) launchShadow(runnerUp Method, sids []uint32, terms []string, sc *score.Scorer, kEval int, f planner.Features, chosenCost float64) {
 	p := e.pln
 	p.shadowSamples.Add(1)
 	e.inflight.Add(1)
-	p.shadowWG.Add(1)
 	go func() {
 		defer e.inflight.Done()
-		defer p.shadowWG.Done()
 		if m := e.met; m != nil {
 			w := m.guard.Enter()
 			defer w.Exit()
 		}
-		ctx := context.Background()
-		var st *retrieval.Stats
-		var err error
-		switch runnerUp {
-		case MethodERA:
-			_, st, err = retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, kEval)
-		case MethodTA:
-			_, st, err = retrieval.TACtx(ctx, e.store, sids, terms, sc, shadowK(kEval))
-		case MethodNRA:
-			_, st, err = retrieval.NRACtx(ctx, e.store, sids, terms, shadowK(kEval))
-		case MethodMerge:
-			_, st, err = retrieval.MergeCtx(ctx, e.store, sids, terms, kEval)
-		default:
-			return
-		}
+		_, st, err := e.retrieve(context.Background(), runnerUp, sids, terms, sc, kEval)
 		if err != nil || st == nil {
 			p.shadowErrors.Add(1)
 			return
@@ -293,32 +261,18 @@ func (e *Engine) launchShadow(runnerUp Method, sids []uint32, terms []string, sc
 	}()
 }
 
-// shadowK mirrors retrieve()'s k handling for the threshold strategies:
-// they need a concrete k, so "all answers" becomes an unreachable bound.
-func shadowK(kEval int) int {
-	if kEval <= 0 {
-		return 1 << 30
-	}
-	return kEval
-}
-
 // DrainShadows blocks until every in-flight shadow run has finished —
 // deterministic accounting for tests and benchmarks.
 func (e *Engine) DrainShadows() {
-	if p := e.pln; p != nil {
-		p.shadowWG.Wait()
-	}
+	e.inflight.Wait()
 }
 
 // PlannerStatus is the snapshot behind GET /planner.
 type PlannerStatus struct {
-	// Enabled reports whether MethodAuto resolves through the cost
-	// model; when false every other field is zero.
-	Enabled        bool    `json:"enabled"`
 	ShadowFraction float64 `json:"shadowFraction"`
 	// Decisions counts MethodAuto resolutions by chosen method;
-	// Fallbacks counts resolutions through the static heuristic
-	// (feature extraction failed).
+	// Fallbacks counts resolutions that ran ERA because feature
+	// extraction failed.
 	Decisions map[string]uint64 `json:"decisions,omitempty"`
 	Fallbacks uint64            `json:"fallbacks"`
 	// ShadowSamples/ShadowErrors/Mispredictions describe the shadow
@@ -335,15 +289,10 @@ type PlannerStatus struct {
 	StalenessSeconds  float64 `json:"stalenessSeconds"`
 }
 
-// PlannerStatus reports the planner's live state (zero-valued with
-// Enabled false when the planner is disabled).
+// PlannerStatus reports the planner's live state.
 func (e *Engine) PlannerStatus() PlannerStatus {
 	p := e.pln
-	if p == nil {
-		return PlannerStatus{}
-	}
 	st := PlannerStatus{
-		Enabled:           true,
 		ShadowFraction:    p.shadowFraction,
 		Decisions:         make(map[string]uint64, planner.NumMethods),
 		Fallbacks:         p.fallbacks.Load(),
@@ -363,12 +312,9 @@ func (e *Engine) PlannerStatus() PlannerStatus {
 	return st
 }
 
-// PlannerModel exposes the underlying cost model (nil when disabled);
-// the advisor feeds measurement runs through it and asks it how a
-// workload query would be routed under hypothetical coverage.
+// PlannerModel exposes the underlying cost model; the advisor feeds
+// measurement runs through it and asks it how a workload query would be
+// routed under hypothetical coverage.
 func (e *Engine) PlannerModel() *planner.Planner {
-	if p := e.pln; p != nil {
-		return p.model
-	}
-	return nil
+	return e.pln.model
 }

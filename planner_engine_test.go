@@ -154,9 +154,6 @@ func TestShadowSamplingRace(t *testing.T) {
 	eng.DrainShadows()
 
 	st := eng.PlannerStatus()
-	if !st.Enabled {
-		t.Fatal("planner disabled")
-	}
 	if st.ShadowSamples == 0 {
 		t.Fatal("no shadow samples despite fraction 1")
 	}
@@ -169,4 +166,47 @@ func TestShadowSamplingRace(t *testing.T) {
 	}
 	t.Logf("decisions=%d shadows=%d errors=%d mispredictions=%d observations=%d",
 		decisions, st.ShadowSamples, st.ShadowErrors, st.Mispredictions, st.Observations)
+}
+
+// TestAutoColdStartMatchesExplain checks, on fresh engines with no
+// lists, RPLs only, ERPLs only and both, that MethodAuto runs the
+// cold-start rule's method and that Explain reports the same one.
+func TestAutoColdStartMatchesExplain(t *testing.T) {
+	const q = `//article//sec[about(., ontologies case study)]`
+	cases := []struct {
+		kinds        []index.ListKind
+		small, large Method
+	}{
+		{nil, MethodERA, MethodERA},
+		{[]index.ListKind{index.KindRPL}, MethodTA, MethodTA},
+		{[]index.ListKind{index.KindERPL}, MethodMerge, MethodMerge},
+		{[]index.ListKind{index.KindRPL, index.KindERPL}, MethodTA, MethodMerge},
+	}
+	for _, c := range cases {
+		eng := testEngineOpts(t, 20, 44, &Options{Planner: &PlannerOptions{ShadowFraction: -1}})
+		if c.kinds != nil {
+			if _, err := eng.Materialize(q, c.kinds...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kc := range []struct {
+			k         int
+			want, exp Method
+		}{{1, c.small, ex.MethodAtSmallK}, {1_000_000, c.large, ex.MethodAtLargeK}} {
+			res, err := eng.Query(q, kc.k, MethodAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Method != kc.want || kc.exp != kc.want {
+				t.Errorf("lists %v, k=%d: query ran %v, explain says %v, want %v", c.kinds, kc.k, res.Method, kc.exp, kc.want)
+			}
+			if res.Plan == nil || !res.Plan.ColdStart {
+				t.Errorf("lists %v, k=%d: plan %+v is not a cold start", c.kinds, kc.k, res.Plan)
+			}
+		}
+	}
 }

@@ -22,11 +22,10 @@ import (
 type Method int
 
 const (
-	// MethodAuto lets the engine pick the strategy. With the online
-	// planner enabled (the default) the pick comes from a continuously
-	// calibrated cost model over the query's feature vector; with the
-	// planner disabled it falls back to the static heuristic (list
-	// coverage plus a fixed k threshold).
+	// MethodAuto lets the engine pick the strategy: the online planner's
+	// continuously calibrated cost model over the query's feature vector,
+	// cold-starting on a static rule (list coverage plus a fixed k
+	// threshold) until it has samples.
 	MethodAuto Method = iota
 	// MethodERA forces the exhaustive algorithm (always available).
 	MethodERA
@@ -35,15 +34,6 @@ const (
 	MethodTA
 	// MethodMerge forces the Merge algorithm (requires ERPL coverage).
 	MethodMerge
-	// MethodRace runs TA and Merge concurrently and returns the result of
-	// whichever finishes first — the parallel evaluation Section 4 of the
-	// paper describes for systems that store both an RPL and an ERPL.
-	// Requires both coverages. Since the online planner took over
-	// MethodAuto, racing is a legacy mode: it burns the loser's pages
-	// and an admission slot on every query, where the planner pays that
-	// double evaluation only on the sampled shadow fraction. Kept for
-	// explicit callers and as the bench baseline.
-	MethodRace
 	// MethodNRA is the sorted-access-only threshold algorithm (the
 	// TopX-style variant the paper's TA implementation follows): no
 	// random accesses, candidate score bounds instead. Requires RPL
@@ -59,8 +49,6 @@ func (m Method) String() string {
 		return "ta"
 	case MethodMerge:
 		return "merge"
-	case MethodRace:
-		return "race"
 	case MethodNRA:
 		return "nra"
 	default:
@@ -68,10 +56,18 @@ func (m Method) String() string {
 	}
 }
 
-// taPreferredK is the k at or below which TA is preferred over Merge when
-// both are available — the paper's figures show TA winning only at very
-// small k.
-const taPreferredK = 10
+// ParseMethod is the inverse of Method.String; "" is MethodAuto.
+func ParseMethod(s string) (Method, error) {
+	if s == "" {
+		return MethodAuto, nil
+	}
+	for m := Method(0); int(m) < numMethods; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return MethodAuto, fmt.Errorf("unknown method %q", s)
+}
 
 // Answer is one ranked query result.
 type Answer struct {
@@ -106,8 +102,8 @@ type Result struct {
 	// Plan is the planner's decision when the query came in as
 	// MethodAuto and the online planner resolved it: the predicted
 	// costs of every candidate method alongside the pick. Nil for
-	// fixed-method queries, for cached results, and when the planner is
-	// disabled (the legacy static heuristic leaves no decision record).
+	// fixed-method queries, for cached results, and when feature
+	// extraction failed (the query then ran ERA).
 	Plan *planner.Decision
 	// Trace is the per-query span breakdown (nil when telemetry is
 	// disabled): timed phases with page/byte counts attributed per span.
@@ -309,12 +305,6 @@ func (e *Engine) CanUse(src string, m Method) (bool, error) {
 		return e.store.Covered(index.KindRPL, terms, sids)
 	case MethodMerge:
 		return e.store.Covered(index.KindERPL, terms, sids)
-	case MethodRace:
-		rpl, err := e.store.Covered(index.KindRPL, terms, sids)
-		if err != nil || !rpl {
-			return false, err
-		}
-		return e.store.Covered(index.KindERPL, terms, sids)
 	default:
 		return false, fmt.Errorf("trex: unknown method %d", int(m))
 	}
@@ -343,8 +333,7 @@ type QueryOptions struct {
 
 // Query evaluates a NEXI query, returning the top k answers (all answers
 // when k <= 0) using the requested method. MethodAuto resolves through
-// the online planner's cost model (Options.Planner), falling back to
-// the static coverage-plus-k heuristic when the planner is disabled.
+// the online planner's cost model (Options.Planner).
 func (e *Engine) Query(src string, k int, m Method) (*Result, error) {
 	return e.QueryOptsCtx(context.Background(), src, QueryOptions{K: k, Method: m})
 }
@@ -469,10 +458,8 @@ func (e *Engine) queryOpts(ctx context.Context, src string, opts QueryOptions, q
 	trc.Method = res.Method.String()
 	// The per-query I/O deltas are exact only when the measurement
 	// window had the shared counters to itself: no overlapping query
-	// window, no writer traffic (captureIO's view), and no MethodRace
-	// loser still draining I/O into later spans. (res.Method is the race
-	// winner, so the race check must look at the requested method.)
-	exact := win.Exclusive() && opts.Method != MethodRace
+	// window and no writer traffic (captureIO's view).
+	exact := win.Exclusive()
 	if st := res.Stats; st != nil {
 		st.IOExact = st.IOExact && exact
 		trc.IOExact = st.IOExact
@@ -574,32 +561,23 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 		}
 	}
 
-	// With the planner enabled, every query's feature vector is
-	// extracted (stat-cache lookups, no page reads when warm): auto
-	// queries plan with it, and every exactly measured run — fixed
-	// method or planned — calibrates the model with it afterwards.
-	var feats planner.Features
-	featsOK := false
+	// Every query's feature vector is extracted (stat-cache lookups, no
+	// page reads when warm): auto queries plan with it, and every exactly
+	// measured run — fixed method or planned — calibrates the model with
+	// it afterwards. When extraction fails on a storage error, auto runs
+	// ERA, which needs no lists.
+	feats, ferr := e.planFeatures(sids, terms, kEval)
+	featsOK := ferr == nil
 	var plan *planner.Decision
-	if p := e.pln; p != nil {
-		if f, ferr := e.planFeatures(sids, terms, kEval); ferr == nil {
-			feats, featsOK = f, true
-		}
-	}
 	if m == MethodAuto {
-		if p := e.pln; p != nil && featsOK {
-			d := p.model.Plan(feats)
+		if featsOK {
+			d := e.pln.model.Plan(feats)
 			plan = &d
 			m = toEngineMethod(d.Method)
-			p.decisions[d.Method].Add(1)
+			e.pln.decisions[d.Method].Add(1)
 		} else {
-			if p := e.pln; p != nil {
-				p.fallbacks.Add(1)
-			}
-			m, err = e.pick(sids, terms, k)
-			if err != nil {
-				return nil, err
-			}
+			m = MethodERA
+			e.pln.fallbacks.Add(1)
 		}
 	}
 	if trc != nil {
@@ -611,7 +589,7 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 	if trc != nil {
 		span = trc.StartSpan("retrieve")
 	}
-	scored, stats, m, err := e.retrieve(ctx, m, sids, terms, sc, kEval)
+	scored, stats, err := e.retrieve(ctx, m, sids, terms, sc, kEval)
 	if trc != nil {
 		sp, now := e.endSpanIO(trc, span, ioPrev)
 		ioPrev = now
@@ -632,9 +610,8 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 		return nil, err
 	}
 	if featsOK {
-		// Calibrate on the executed method (the race winner when the
-		// caller forced MethodRace); shadow-sample auto-planned queries
-		// so the runner-up's cost keeps the model honest.
+		// Calibrate on the executed method; shadow-sample auto-planned
+		// queries so the runner-up's cost keeps the model honest.
 		e.observeRun(m, feats, stats)
 		if plan != nil && plan.RunnerUp >= 0 && stats != nil && !stats.Approximate {
 			if ru := toEngineMethod(plan.RunnerUp); ru != m && e.pln.shouldShadow() {
@@ -678,10 +655,8 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 	}, nil
 }
 
-// retrieve runs the requested strategy's retrieval phase. For MethodRace
-// it runs TA and Merge concurrently and returns whichever finishes first
-// (with Method rewritten to the winner).
-func (e *Engine) retrieve(ctx context.Context, m Method, sids []uint32, terms []string, sc *score.Scorer, kEval int) ([]retrieval.Scored, *retrieval.Stats, Method, error) {
+// retrieve runs the given strategy's retrieval phase.
+func (e *Engine) retrieve(ctx context.Context, m Method, sids []uint32, terms []string, sc *score.Scorer, kEval int) ([]retrieval.Scored, *retrieval.Stats, error) {
 	kTA := kEval
 	if kTA <= 0 {
 		// TA needs a concrete k; for full evaluation use a bound no
@@ -690,80 +665,15 @@ func (e *Engine) retrieve(ctx context.Context, m Method, sids []uint32, terms []
 	}
 	switch m {
 	case MethodERA:
-		scored, stats, err := retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, kEval)
-		return scored, stats, m, err
+		return retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, kEval)
 	case MethodTA:
-		scored, stats, err := retrieval.TACtx(ctx, e.store, sids, terms, sc, kTA)
-		return scored, stats, m, err
+		return retrieval.TACtx(ctx, e.store, sids, terms, sc, kTA)
 	case MethodNRA:
-		scored, stats, err := retrieval.NRACtx(ctx, e.store, sids, terms, kTA)
-		return scored, stats, m, err
+		return retrieval.NRACtx(ctx, e.store, sids, terms, kTA)
 	case MethodMerge:
-		scored, stats, err := retrieval.MergeCtx(ctx, e.store, sids, terms, kEval)
-		return scored, stats, m, err
-	case MethodRace:
-		type outcome struct {
-			scored []retrieval.Scored
-			stats  *retrieval.Stats
-			m      Method
-			err    error
-		}
-		ch := make(chan outcome, 2)
-		e.inflight.Add(2)
-		go func() {
-			defer e.inflight.Done()
-			// Each racer holds its own guard window so a loser that keeps
-			// reading after the query returns taints any query window it
-			// overlaps (their I/O deltas would include the loser's reads).
-			if m := e.met; m != nil {
-				w := m.guard.Enter()
-				defer w.Exit()
-			}
-			s, st, err := retrieval.TACtx(ctx, e.store, sids, terms, sc, kTA)
-			ch <- outcome{s, st, MethodTA, err}
-		}()
-		go func() {
-			defer e.inflight.Done()
-			if m := e.met; m != nil {
-				w := m.guard.Enter()
-				defer w.Exit()
-			}
-			s, st, err := retrieval.MergeCtx(ctx, e.store, sids, terms, kEval)
-			ch <- outcome{s, st, MethodMerge, err}
-		}()
-		first := <-ch
-		if first.err != nil {
-			// Fall back to the other racer rather than failing the query.
-			second := <-ch
-			if second.err != nil {
-				return nil, nil, m, fmt.Errorf("trex: race failed: %v / %v", first.err, second.err)
-			}
-			return second.scored, second.stats, second.m, nil
-		}
-		return first.scored, first.stats, first.m, nil
+		return retrieval.MergeCtx(ctx, e.store, sids, terms, kEval)
 	default:
-		return nil, nil, m, fmt.Errorf("trex: unknown method %d", int(m))
-	}
-}
-
-func (e *Engine) pick(sids []uint32, terms []string, k int) (Method, error) {
-	rplOK, err := e.store.Covered(index.KindRPL, terms, sids)
-	if err != nil {
-		return MethodERA, err
-	}
-	erplOK, err := e.store.Covered(index.KindERPL, terms, sids)
-	if err != nil {
-		return MethodERA, err
-	}
-	switch {
-	case rplOK && k > 0 && k <= taPreferredK:
-		return MethodTA, nil
-	case erplOK:
-		return MethodMerge, nil
-	case rplOK:
-		return MethodTA, nil
-	default:
-		return MethodERA, nil
+		return nil, nil, fmt.Errorf("trex: unknown method %d", int(m))
 	}
 }
 

@@ -65,8 +65,8 @@ func TestQueryTelemetryAllocGuard(t *testing.T) {
 }
 
 // BenchmarkQueryTelemetryOverhead reports the end-to-end query cost with
-// and without telemetry so the overhead shows up in bench output (and in
-// BENCH_PR5.json via the pr5 experiment) as both ns/op and allocs/op.
+// and without telemetry so the overhead shows up in bench output as both
+// ns/op and allocs/op.
 func BenchmarkQueryTelemetryOverhead(b *testing.B) {
 	for _, mode := range []struct {
 		name     string

@@ -12,8 +12,7 @@ import (
 )
 
 // TestTelemetryMixedQueryMaterializeRace is the -race regression for the
-// instrumented read/write paths: concurrent queries (including MethodRace,
-// whose loser keeps reading after the winner returns) against a writer
+// instrumented read/write paths: concurrent queries against a writer
 // looping Materialize. Before the telemetry guard, captureIO attributed
 // the writer's page traffic to whichever query happened to be in flight;
 // now overlapped windows must simply drop the IOExact claim, and every
@@ -34,7 +33,7 @@ func TestTelemetryMixedQueryMaterializeRace(t *testing.T) {
 		`//article[about(., xml query evaluation)]`,
 		`//bdy//*[about(., model checking)]`,
 	}
-	methods := []Method{MethodAuto, MethodERA, MethodRace}
+	methods := []Method{MethodAuto, MethodERA}
 
 	const readers = 4
 	const iters = 25
@@ -108,7 +107,7 @@ func TestTelemetryMixedQueryMaterializeRace(t *testing.T) {
 	// Registry totals agree with the traffic we issued.
 	snap := eng.MetricsRegistry().Snapshot()
 	var counted float64
-	for _, m := range []Method{MethodAuto, MethodERA, MethodTA, MethodMerge, MethodRace, MethodNRA} {
+	for _, m := range []Method{MethodAuto, MethodERA, MethodTA, MethodMerge, MethodNRA} {
 		if e, ok := snap.Get("trex_queries_total", map[string]string{"method": m.String()}); ok {
 			counted += e.Value
 		}
