@@ -21,10 +21,10 @@ race:
 	$(GO) test -race ./...
 
 # vet also guards the query path against the reflection sort and the
-# interface heap coming back: retrieval, the list iterators and query.go
-# sort with slices.SortFunc and sift their heaps with typed code (DESIGN.md,
+# interface heap coming back: retrieval, the list iterators, query.go and
+# combine.go sort with slices.SortFunc and sift their heaps with typed code (DESIGN.md,
 # "Merge pass").
-QUERY_PATH_GO = $(filter-out %_test.go,$(wildcard internal/retrieval/*.go internal/index/*.go)) query.go
+QUERY_PATH_GO = $(filter-out %_test.go,$(wildcard internal/retrieval/*.go internal/index/*.go)) query.go combine.go
 vet:
 	$(GO) vet ./...
 	@if grep -n -e 'sort\.Slice(' -e '"container/heap"' $(QUERY_PATH_GO); then \
@@ -35,7 +35,9 @@ vet:
 # root `go test -bench` figures matching BENCH under the CPU and heap
 # profilers, leave the binary and both profiles in .bench_build/, and print
 # the cumulative CPU top. BENCH=ReplanAfterCommit profiles the write path's
-# re-plan (what the benchmark's replan_p50_ms times). Look closer with
+# re-plan (what the benchmark's replan_p50_ms times), BENCH=ServeLadder the
+# read path's serve loop (what the qps of paper_grid and cold_base times).
+# Look closer with
 #   go tool pprof -list 'MergeCtx' .bench_build/trex.test .bench_build/cpu.prof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/trex.test .bench_build/mem.prof
 BENCH ?= Figure5Q260/merge
@@ -160,7 +162,8 @@ test-ingest:
 
 # fuzz gives each fuzz target — the list and posting codecs, the list
 # build's radix sort, the cursor's forward seek, the segment reader, the JSON
-# mapping — a short bounded run:
+# mapping, the engine's answer ranking (ROOT_FUZZ_TARGETS, in the root
+# package) — a short bounded run:
 # long enough to catch a regression, short enough for CI. The loop fails
 # fast: the first red target stops the run instead of burning the
 # remaining fuzz budget on a build that is already broken.
@@ -169,8 +172,13 @@ FUZZ_TARGETS = FuzzDecodePostingValue FuzzDecodeRPLRow FuzzDecodeERPLRow FuzzBlo
 STORAGE_FUZZ_TARGETS = FuzzCursorSeekForward
 SEGMENT_FUZZ_TARGETS = FuzzReader
 JSON_FUZZ_TARGETS = FuzzJSONToElements
+ROOT_FUZZ_TARGETS = FuzzCombine
 fuzz:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@set -e; for t in $(ROOT_FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test . -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done; \
+	for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \
 		$(GO) test ./internal/index -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done; \

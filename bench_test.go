@@ -221,20 +221,7 @@ func BenchmarkReplanAfterCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	var workload []trex.WorkloadQuery
-	for _, q := range []string{
-		`//article[about(., ontologies)]//sec[about(., ontologies case study)]`,
-		`//sec[about(., code signing verification)]`,
-		`//article[about(.//bdy, synthesizers) and about(.//bdy, music)]`,
-		`//bdy//*[about(., model checking state space explosion)]`,
-		`//article//sec[about(., introduction information retrieval)]`,
-	} {
-		workload = append(workload, trex.WorkloadQuery{NEXI: q, Freq: 1, K: 10})
-	}
-	const budget = 1 << 60
-	if _, err := eng.SelfManage(workload, budget, trex.SolverGreedy); err != nil {
-		b.Fatal(err)
-	}
+	workload := selfManageTable1(b, eng)
 	ing := eng.NewIngestor()
 	next := 0
 	b.ReportAllocs()
@@ -253,7 +240,56 @@ func BenchmarkReplanAfterCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := eng.SelfManage(workload, budget, trex.SolverGreedy); err != nil {
+		if _, err := eng.SelfManage(workload, 1<<60, trex.SolverGreedy); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ieeeTable1 holds the five IEEE queries of the paper's Table 1.
+var ieeeTable1 = []string{
+	`//article[about(., ontologies)]//sec[about(., ontologies case study)]`,
+	`//sec[about(., code signing verification)]`,
+	`//article[about(.//bdy, synthesizers) and about(.//bdy, music)]`,
+	`//bdy//*[about(., model checking state space explosion)]`,
+	`//article//sec[about(., introduction information retrieval)]`,
+}
+
+// selfManageTable1 lets SelfManage choose, with no space budget to speak
+// of, the lists for the ieeeTable1 queries asked at k = 10, and returns
+// that workload.
+func selfManageTable1(b *testing.B, eng *trex.Engine) []trex.WorkloadQuery {
+	var workload []trex.WorkloadQuery
+	for _, q := range ieeeTable1 {
+		workload = append(workload, trex.WorkloadQuery{NEXI: q, Freq: 1, K: 10})
+	}
+	if _, err := eng.SelfManage(workload, 1<<60, trex.SolverGreedy); err != nil {
+		b.Fatal(err)
+	}
+	return workload
+}
+
+// BenchmarkServeLadder measures the read path's serve loop — what the qps
+// of the benchmark's paper_grid and cold_base workloads times: MethodAuto
+// queries that bypass the result cache, round-robin over the ieeeTable1
+// queries at every k of the ladder 1…1,000, on a 1,500-document generated
+// IEEE collection whose lists SelfManage chose for those queries. One op
+// is one query. `make profile BENCH=ServeLadder` profiles it.
+func BenchmarkServeLadder(b *testing.B) {
+	col := corpus.Generate(corpus.Config{Style: corpus.StyleIEEE, Docs: 1500, Seed: 20070415})
+	eng, err := trex.CreateMemory(col, &trex.Options{SegmentLists: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	selfManageTable1(b, eng)
+	ks := []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := ieeeTable1[i%len(ieeeTable1)]
+		k := ks[i/len(ieeeTable1)%len(ks)]
+		if _, err := eng.QueryOpts(q, trex.QueryOptions{K: k, Method: trex.MethodAuto, NoCache: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,9 @@ type Explanation struct {
 	// RPLCovered / ERPLCovered report redundant-list availability.
 	RPLCovered  bool
 	ERPLCovered bool
-	// MethodAtSmallK / MethodAtLargeK is what MethodAuto would run.
+	// MethodAtSmallK / MethodAtLargeK is what MethodAuto would run at
+	// k = 1 and k = 1,000,000; they agree for queries whose retrieval
+	// phase produces every match whatever k is.
 	MethodAtSmallK Method
 	MethodAtLargeK Method
 	// ListVolume is the total number of materialized RPL entries the
@@ -37,7 +39,9 @@ type Explanation struct {
 	// since the catalog records real encoded sizes.
 	ListBytes int64
 	// PlanFeatures is the feature vector the query planner derives for
-	// this query (at k = DefaultK), and Plan the resulting decision with
+	// this query asked at k = DefaultK (its K is the k retrieval would run
+	// at: 0, all answers, for queries with support clauses or negated
+	// terms), and Plan the resulting decision with
 	// per-candidate cost estimates. Both are nil when feature
 	// extraction fails. Computing them reads only the engine's stat
 	// cache — no cursors are opened and no pages are touched.
@@ -110,9 +114,15 @@ func (e *Engine) ExplainCtx(ctx context.Context, src string) (*Explanation, erro
 	if ex.ERPLCovered, err = e.store.CoveredCached(index.KindERPL, terms, sids); err != nil {
 		return nil, err
 	}
-	ex.MethodAtSmallK = e.methodAt(sids, terms, 1)
-	ex.MethodAtLargeK = e.methodAt(sids, terms, 1_000_000)
-	if f, ferr := e.planFeatures(sids, terms, DefaultK); ferr == nil {
+	// Plan as Query would: on the stopword-filtered terms, at the k its
+	// retrieval phase would run at.
+	_, planTerms, negs, err := e.evalTerms(tr)
+	if err != nil {
+		return nil, err
+	}
+	ex.MethodAtSmallK = e.methodAt(sids, planTerms, retrievalK(tr, negs, 1))
+	ex.MethodAtLargeK = e.methodAt(sids, planTerms, retrievalK(tr, negs, 1_000_000))
+	if f, ferr := e.planFeatures(sids, planTerms, retrievalK(tr, negs, DefaultK)); ferr == nil {
 		d := e.pln.model.Plan(f)
 		ex.PlanFeatures = &f
 		ex.Plan = &d
@@ -186,7 +196,7 @@ func (ex *Explanation) String() string {
 		if d.ColdStart {
 			mode = "cold-start"
 		}
-		fmt.Fprintf(&sb, "planner (%s, k=%d): %s, predicted cost %.0f", mode, DefaultK, d.Method, d.Cost)
+		fmt.Fprintf(&sb, "planner (%s, k=%d): %s, predicted cost %.0f", mode, ex.PlanFeatures.K, d.Method, d.Cost)
 		if d.RunnerUp >= 0 {
 			fmt.Fprintf(&sb, "; runner-up %s, cost %.0f", d.RunnerUp, d.RunnerUpCost)
 		}

@@ -51,8 +51,13 @@ func TestExplain(t *testing.T) {
 	if !ex2.RPLCovered || !ex2.ERPLCovered {
 		t.Fatal("coverage not reflected after materialization")
 	}
-	if ex2.MethodAtSmallK != MethodTA || ex2.MethodAtLargeK != MethodMerge {
+	// A support clause makes retrieval produce every match at any k, so
+	// auto plans at k = 0 (all answers) for small and large k alike.
+	if ex2.MethodAtSmallK != MethodMerge || ex2.MethodAtLargeK != MethodMerge {
 		t.Fatalf("methods = %v, %v", ex2.MethodAtSmallK, ex2.MethodAtLargeK)
+	}
+	if ex2.PlanFeatures == nil || ex2.PlanFeatures.K != 0 {
+		t.Fatalf("plan features %+v, want K = 0", ex2.PlanFeatures)
 	}
 	if ex2.ListVolume <= 0 {
 		t.Fatalf("ListVolume = %d", ex2.ListVolume)

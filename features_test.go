@@ -1,6 +1,7 @@
 package trex
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,6 +200,48 @@ func TestPagination(t *testing.T) {
 	for i := range taPage2.Answers {
 		if taPage2.Answers[i] != page2.Answers[i] {
 			t.Fatalf("ta page2[%d] mismatch", i)
+		}
+	}
+
+	// A support clause or a negated term makes the retrieval phase produce
+	// every match, and combine ranks only the first k+offset of them: pages
+	// of 3 must still tile the full ranking under every method.
+	for _, q := range []string{
+		`//article[about(., ontologies)]//sec[about(., ontologies case study)]`,
+		`//article//sec[about(., ontologies case study -model)]`,
+	} {
+		if _, err := eng.Materialize(q, index.KindRPL, index.KindERPL); err != nil {
+			t.Fatal(err)
+		}
+		for m := Method(0); int(m) < numMethods; m++ {
+			all, err := eng.Query(q, 0, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if all.TotalAnswers < 6 || len(all.Answers) != all.TotalAnswers {
+				t.Fatalf("%s %v: %d answers of %d", q, m, len(all.Answers), all.TotalAnswers)
+			}
+			var tiled []Answer
+			for offset := 0; offset <= all.TotalAnswers; offset += 3 {
+				pg, err := eng.QueryOpts(q, QueryOptions{K: 3, Method: m, Offset: offset})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pg.TotalAnswers != all.TotalAnswers {
+					t.Fatalf("%s %v offset %d: TotalAnswers %d, want %d", q, m, offset, pg.TotalAnswers, all.TotalAnswers)
+				}
+				tiled = append(tiled, pg.Answers...)
+			}
+			if !slices.Equal(tiled, all.Answers) {
+				t.Fatalf("%s %v: pages of 3 differ from the k=0 ranking", q, m)
+			}
+			deep, err := eng.QueryOpts(q, QueryOptions{K: 3, Method: m, Offset: all.TotalAnswers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(deep.Answers) != 0 || deep.TotalAnswers != all.TotalAnswers {
+				t.Fatalf("%s %v: page past the end has %d answers of %d", q, m, len(deep.Answers), deep.TotalAnswers)
+			}
 		}
 	}
 }

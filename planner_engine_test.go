@@ -170,42 +170,65 @@ func TestShadowSamplingRace(t *testing.T) {
 
 // TestAutoColdStartMatchesExplain checks, on fresh engines with no
 // lists, RPLs only, ERPLs only and both, that MethodAuto runs the
-// cold-start rule's method and that Explain reports the same one.
+// cold-start rule's method and that Explain reports the same one. Queries
+// with a support clause or a negated term retrieve every match whatever k
+// is, so both plan them at k = 0 and pick one method for small and large
+// k. A query calibrates its k band, so each k gets a fresh engine.
 func TestAutoColdStartMatchesExplain(t *testing.T) {
-	const q = `//article//sec[about(., ontologies case study)]`
-	cases := []struct {
+	type listCase struct {
 		kinds        []index.ListKind
 		small, large Method
-	}{
-		{nil, MethodERA, MethodERA},
-		{[]index.ListKind{index.KindRPL}, MethodTA, MethodTA},
-		{[]index.ListKind{index.KindERPL}, MethodMerge, MethodMerge},
-		{[]index.ListKind{index.KindRPL, index.KindERPL}, MethodTA, MethodMerge},
 	}
-	for _, c := range cases {
-		eng := testEngineOpts(t, 20, 44, &Options{Planner: &PlannerOptions{ShadowFraction: -1}})
-		if c.kinds != nil {
-			if _, err := eng.Materialize(q, c.kinds...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ex, err := eng.Explain(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kc := range []struct {
-			k         int
-			want, exp Method
-		}{{1, c.small, ex.MethodAtSmallK}, {1_000_000, c.large, ex.MethodAtLargeK}} {
-			res, err := eng.Query(q, kc.k, MethodAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Method != kc.want || kc.exp != kc.want {
-				t.Errorf("lists %v, k=%d: query ran %v, explain says %v, want %v", c.kinds, kc.k, res.Method, kc.exp, kc.want)
-			}
-			if res.Plan == nil || !res.Plan.ColdStart {
-				t.Errorf("lists %v, k=%d: plan %+v is not a cold start", c.kinds, kc.k, res.Plan)
+	rpl, erpl := []index.ListKind{index.KindRPL}, []index.ListKind{index.KindERPL}
+	both := []index.ListKind{index.KindRPL, index.KindERPL}
+	fullEvaluation := []listCase{
+		{nil, MethodERA, MethodERA},
+		{rpl, MethodTA, MethodTA},
+		{erpl, MethodMerge, MethodMerge},
+		{both, MethodMerge, MethodMerge},
+	}
+	for _, qc := range []struct {
+		q     string
+		cases []listCase
+	}{
+		{`//article//sec[about(., ontologies case study)]`, []listCase{
+			{nil, MethodERA, MethodERA},
+			{rpl, MethodTA, MethodTA},
+			{erpl, MethodMerge, MethodMerge},
+			{both, MethodTA, MethodMerge},
+		}},
+		{`//article[about(., ontologies)]//sec[about(., ontologies case study)]`, fullEvaluation},
+		{`//article//sec[about(., introduction information retrieval -music)]`, fullEvaluation},
+	} {
+		for _, c := range qc.cases {
+			for _, kc := range []struct {
+				k    int
+				want Method
+			}{{1, c.small}, {1_000_000, c.large}} {
+				eng := testEngineOpts(t, 20, 44, &Options{Planner: &PlannerOptions{ShadowFraction: -1}})
+				if c.kinds != nil {
+					if _, err := eng.Materialize(qc.q, c.kinds...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ex, err := eng.Explain(qc.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.MethodAtSmallK != c.small || ex.MethodAtLargeK != c.large {
+					t.Errorf("%s, lists %v: explain says %v at small k, %v at large k, want %v, %v",
+						qc.q, c.kinds, ex.MethodAtSmallK, ex.MethodAtLargeK, c.small, c.large)
+				}
+				res, err := eng.Query(qc.q, kc.k, MethodAuto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Method != kc.want {
+					t.Errorf("%s, lists %v, k=%d: query ran %v, want %v", qc.q, c.kinds, kc.k, res.Method, kc.want)
+				}
+				if res.Plan == nil || !res.Plan.ColdStart {
+					t.Errorf("%s, lists %v, k=%d: plan %+v is not a cold start", qc.q, c.kinds, kc.k, res.Plan)
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package trex
 
 import (
-	"cmp"
 	"container/list"
 	"context"
 	"fmt"
@@ -89,11 +88,13 @@ type Result struct {
 	K      int
 	// Answers, best first, at most K (all when K <= 0).
 	Answers []Answer
-	// TotalAnswers counts matches before the final top-k cut. For
-	// single-clause queries the retrieval phase itself may be truncated
-	// at k (that is the point of top-k evaluation), in which case
-	// TotalAnswers equals len(Answers); query with k <= 0 to count all
-	// matches.
+	// TotalAnswers counts every answer the retrieval phase produced;
+	// only the best K+Offset of them are ranked. For a single
+	// target-clause query without negated terms the retrieval phase
+	// itself stops at K+Offset (that is the point of top-k evaluation),
+	// so TotalAnswers is at most K+Offset; query with k <= 0 to count all
+	// matches. Queries with a support clause or a negated term retrieve
+	// every match, so for them it counts all matches at any k.
 	TotalAnswers int
 	// Translation exposes the (sids, terms) the query mapped to.
 	Translation *translate.Translation
@@ -529,15 +530,8 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 	if trc != nil {
 		span = trc.StartSpan("plan")
 	}
-	sids, terms := flatten(tr)
-	negs := negativeTerms(tr)
-	// Stopworded query terms carry no signal: the index has no postings
-	// for them, so drop them up front (a stopword-only query matches
-	// nothing, mirroring classic IR engines).
-	if terms, err = e.store.FilterStopwords(terms); err != nil {
-		return nil, err
-	}
-	if negs, err = e.store.FilterStopwords(negs); err != nil {
+	sids, terms, negs, err := e.evalTerms(tr)
+	if err != nil {
 		return nil, err
 	}
 	sc, err := e.store.NewScorer(append(append([]string{}, terms...), negs...))
@@ -545,21 +539,10 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 		return nil, err
 	}
 
-	// Multi-clause queries combine scores across elements (support
-	// clauses contribute containment bonuses), so their retrieval phase
-	// must produce all matches. A single target-clause query ranks purely
-	// by per-element scores — support bonuses cannot apply (every
-	// retrieved element is an answer) — so k (plus any pagination offset)
-	// pushes down into the strategy, which is the whole point of top-k
-	// evaluation. Computed before method resolution: the planner's k
-	// feature must be the k the retrieval phase will actually see.
-	kEval := 0
-	if len(tr.Clauses) == 1 && tr.Clauses[0].IsTarget && len(negs) == 0 {
-		kEval = k
-		if k > 0 && opts.Offset > 0 {
-			kEval = k + opts.Offset
-		}
-	}
+	// Computed before method resolution: the planner's k feature must be
+	// the k the retrieval phase will actually see.
+	depth := rankDepth(k, opts.Offset)
+	kEval := retrievalK(tr, negs, depth)
 
 	// Every query's feature vector is extracted (stat-cache lookups, no
 	// page reads when warm): auto queries plan with it, and every exactly
@@ -623,21 +606,11 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 	if trc != nil {
 		span = trc.StartSpan("combine")
 	}
-	answers, err := e.combine(tr, scored, negs, sc, opts.PhraseBonus)
+	answers, total, err := e.combine(tr, scored, negs, sc, opts.PhraseBonus, depth)
 	if err != nil {
 		return nil, err
 	}
-	total := len(answers)
-	if opts.Offset > 0 {
-		if opts.Offset >= len(answers) {
-			answers = nil
-		} else {
-			answers = answers[opts.Offset:]
-		}
-	}
-	if k > 0 && len(answers) > k {
-		answers = answers[:k]
-	}
+	answers = page(answers, k, opts.Offset)
 	if trc != nil {
 		sp, _ := e.endSpanIO(trc, span, ioPrev)
 		sp.Items = len(answers)
@@ -653,6 +626,61 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 		Plan:         plan,
 		Approximate:  stats != nil && stats.Approximate,
 	}, nil
+}
+
+// evalTerms flattens tr into the sids and positive terms retrieval reads
+// and the negated terms combine penalizes. Stopworded terms carry no
+// signal: the index has no postings for them, so they are dropped up front
+// (a stopword-only query matches nothing, mirroring classic IR engines).
+func (e *Engine) evalTerms(tr *translate.Translation) (sids []uint32, terms, negs []string, err error) {
+	sids, terms = flatten(tr)
+	if terms, err = e.store.FilterStopwords(terms); err != nil {
+		return nil, nil, nil, err
+	}
+	if negs, err = e.store.FilterStopwords(negativeTerms(tr)); err != nil {
+		return nil, nil, nil, err
+	}
+	return sids, terms, negs, nil
+}
+
+// rankDepth is how many of the best answers a page of k answers at offset
+// needs ranked: k + offset, or 0 (all of them) when k <= 0.
+func rankDepth(k, offset int) int {
+	if k <= 0 {
+		return 0
+	}
+	return k + max(offset, 0)
+}
+
+// retrievalK is the k a query's retrieval phase runs at, given its rank
+// depth (negs are its stopword-filtered negated terms). Multi-clause
+// queries combine scores across elements (support clauses contribute
+// containment bonuses) and negated terms lower scores after retrieval, so
+// those queries' retrieval phase must produce all matches (0). A single
+// target-clause query with no negated term ranks purely by per-element
+// scores — support bonuses cannot apply (every retrieved element is an
+// answer) — so the depth pushes down into the strategy, which is the
+// whole point of top-k evaluation. Query and Explain both plan at it.
+func retrievalK(tr *translate.Translation, negs []string, depth int) int {
+	if len(tr.Clauses) == 1 && tr.Clauses[0].IsTarget && len(negs) == 0 {
+		return depth
+	}
+	return 0
+}
+
+// page cuts the k answers at offset out of a ranking (all answers from
+// offset on when k <= 0).
+func page(answers []Answer, k, offset int) []Answer {
+	if offset > 0 {
+		if offset >= len(answers) {
+			return nil
+		}
+		answers = answers[offset:]
+	}
+	if k > 0 && len(answers) > k {
+		answers = answers[:k]
+	}
+	return answers
 }
 
 // retrieve runs the given strategy's retrieval phase.
@@ -690,135 +718,33 @@ func phrases(tr *translate.Translation) [][]string {
 	return out
 }
 
-// combine turns the flattened retrieval result into ranked answers:
-// elements in the target extents, with the scores of containing (ancestor)
-// and contained (descendant) result elements folded in, negated-term
-// penalties subtracted, and an optional proximity bonus for quoted
-// phrases. A single containment sweep over the results, sorted by
-// (doc, start), attributes both support directions.
-func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, negs []string, sc interface {
-	Score(term string, tf int, elemLen int) float64
-}, phraseBonus float64,
-) ([]Answer, error) {
-	targetSet := make(map[uint32]bool, len(tr.TargetSIDs))
-	for _, s := range tr.TargetSIDs {
-		targetSet[s] = true
-	}
-	type item struct {
-		elem   index.Element
-		score  float64
-		target bool
-		bonus  float64
-	}
-	items := make([]item, len(scored))
-	targets := 0
-	for i, s := range scored {
-		items[i] = item{elem: s.Elem, score: s.Score, target: targetSet[s.Elem.SID]}
-		if items[i].target {
-			targets++
-		}
-	}
-	// (doc, start) identifies an element, so the order is total.
-	slices.SortFunc(items, func(a, b item) int {
-		if c := cmp.Compare(a.elem.Doc, b.elem.Doc); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.elem.Start(), b.elem.Start())
-	})
-
-	// Sweep with an ancestor stack: when visiting x, the stack holds
-	// exactly the result elements that contain x. Bonuses flow only
-	// between support (non-target) elements and answers: a support
-	// ancestor boosts the answers inside it, and a support descendant
-	// boosts the answer containing it. Answers never boost each other —
-	// a containing answer's own score already counts every term inside
-	// its span, so that would double-count.
-	var stack []*item
-	for i := range items {
-		x := &items[i]
-		for len(stack) > 0 {
-			top := stack[len(stack)-1]
-			if top.elem.Doc == x.elem.Doc && x.elem.End <= top.elem.End {
-				break // top contains x
+// combine ranks the flattened retrieval result into the best keep answers
+// (all when keep <= 0) and counts every answer: see combiner.rank.
+func (e *Engine) combine(tr *translate.Translation, scored []retrieval.Scored, negs []string, sc *score.Scorer, phraseBonus float64, keep int) ([]Answer, int, error) {
+	c := combiner{
+		targets: tr.TargetSIDs,
+		sc:      sc,
+		negs:    negs,
+		path: func(sid uint32) string {
+			if n := e.sum.NodeBySID(int(sid)); n != nil {
+				return n.XPathExpr()
 			}
-			stack = stack[:len(stack)-1]
-		}
-		if x.target {
-			for _, anc := range stack {
-				if !anc.target {
-					x.bonus += anc.score // ancestor support
-				}
-			}
-		} else {
-			for _, anc := range stack {
-				if anc.target {
-					anc.bonus += x.score // descendant support
-				}
-			}
-		}
-		stack = append(stack, x)
+			return ""
+		},
 	}
-
-	queryPhrases := phrases(tr)
-	negProbes := make([]*index.SpanProbe, len(negs))
-	for i, w := range negs {
-		negProbes[i] = index.NewSpanProbe(e.store, w)
-	}
-	var answers []Answer
-	if targets > 0 {
-		answers = make([]Answer, 0, targets)
-	}
-	// Answers of one sid share its path expression.
-	paths := make(map[uint32]string)
-	for i := range items {
-		it := &items[i]
-		if !it.target {
-			continue
-		}
-		total := it.score + it.bonus
+	if len(negs) > 0 {
+		probes := make([]*index.SpanProbe, len(negs))
 		for i, w := range negs {
-			tf, err := negProbes[i].Count(it.elem)
-			if err != nil {
-				return nil, err
-			}
-			total -= sc.Score(w, tf, int(it.elem.Length))
+			probes[i] = index.NewSpanProbe(e.store, w)
 		}
-		if phraseBonus > 0 {
-			for _, ph := range queryPhrases {
-				pf, err := index.PhraseFreqInSpan(e.store, ph, it.elem)
-				if err != nil {
-					return nil, err
-				}
-				if pf > 0 {
-					// Reward exact phrase hits with the phrase-as-a-unit
-					// score, scaled by the caller's weight.
-					total += phraseBonus * sc.Score(ph[0], pf, int(it.elem.Length))
-				}
-			}
-		}
-		path, ok := paths[it.elem.SID]
-		if !ok {
-			if n := e.sum.NodeBySID(int(it.elem.SID)); n != nil {
-				path = n.XPathExpr()
-			}
-			paths[it.elem.SID] = path
-		}
-		answers = append(answers, Answer{
-			Doc:   it.elem.Doc,
-			Start: it.elem.Start(),
-			End:   it.elem.End,
-			SID:   it.elem.SID,
-			Path:  path,
-			Score: total,
-		})
+		c.negTF = func(i int, el index.Element) (int, error) { return probes[i].Count(el) }
 	}
-	// retrieval.SortScored's order: (doc, end) identifies an answer, so it
-	// is total.
-	slices.SortFunc(answers, func(a, b Answer) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
+	if phraseBonus > 0 {
+		c.phrases = phrases(tr)
+		c.phraseBonus = phraseBonus
+		c.phraseFreq = func(words []string, el index.Element) (int, error) {
+			return index.PhraseFreqInSpan(e.store, words, el)
 		}
-		return index.CompareDocEnd(a.Doc, a.End, b.Doc, b.End)
-	})
-	return answers, nil
+	}
+	return c.rank(scored, keep)
 }
