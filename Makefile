@@ -36,7 +36,8 @@ vet:
 # profilers, leave the binary and both profiles in .bench_build/, and print
 # the cumulative CPU top. BENCH=ReplanAfterCommit profiles the write path's
 # re-plan (what the benchmark's replan_p50_ms times), BENCH=ServeLadder the
-# read path's serve loop (what the qps of paper_grid and cold_base times).
+# read path's serve loop (what the qps of paper_grid and cold_base times),
+# BENCH=Create the base build (what setup_s and peak_rss_mb are set by).
 # Look closer with
 #   go tool pprof -list 'MergeCtx' .bench_build/trex.test .bench_build/cpu.prof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/trex.test .bench_build/mem.prof
@@ -162,8 +163,8 @@ test-ingest:
 
 # fuzz gives each fuzz target — the list and posting codecs, the list
 # build's radix sort, the cursor's forward seek, the segment reader, the JSON
-# mapping, the engine's answer ranking (ROOT_FUZZ_TARGETS, in the root
-# package) — a short bounded run:
+# mapping, the index build's grouped tokenizer, the engine's answer ranking
+# (ROOT_FUZZ_TARGETS, in the root package) — a short bounded run:
 # long enough to catch a regression, short enough for CI. The loop fails
 # fast: the first red target stops the run instead of burning the
 # remaining fuzz budget on a build that is already broken.
@@ -172,6 +173,7 @@ FUZZ_TARGETS = FuzzDecodePostingValue FuzzDecodeRPLRow FuzzDecodeERPLRow FuzzBlo
 STORAGE_FUZZ_TARGETS = FuzzCursorSeekForward
 SEGMENT_FUZZ_TARGETS = FuzzReader
 JSON_FUZZ_TARGETS = FuzzJSONToElements
+XMLSCAN_FUZZ_TARGETS = FuzzDocTermGroups
 ROOT_FUZZ_TARGETS = FuzzCombine
 fuzz:
 	@set -e; for t in $(ROOT_FUZZ_TARGETS); do \
@@ -193,6 +195,10 @@ fuzz:
 	for t in $(JSON_FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \
 		$(GO) test ./internal/jsoncorpus -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done; \
+	for t in $(XMLSCAN_FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test ./internal/xmlscan -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # soak is the nightly differential-oracle long run: thousands of seeded

@@ -11,6 +11,7 @@ package trex_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -292,6 +293,29 @@ func BenchmarkServeLadder(b *testing.B) {
 		if _, err := eng.QueryOpts(q, trex.QueryOptions{K: k, Method: trex.MethodAuto, NoCache: true}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCreate measures the base build — what the benchmark's setup_s
+// and peak_rss_mb are set by: Create over a 1,500-document generated IEEE
+// collection (the size of paper_grid's), summary and base index, into a
+// file. One op is one Create; B/op and allocs/op are its garbage.
+// `make profile BENCH=Create` profiles it.
+func BenchmarkCreate(b *testing.B) {
+	col := corpus.Generate(corpus.Config{Style: corpus.StyleIEEE, Docs: 1500, Seed: 20070415})
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := trex.Create(filepath.Join(dir, fmt.Sprintf("create-%d.trexdb", i)), col, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

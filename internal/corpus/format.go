@@ -9,7 +9,7 @@ import (
 
 // Format identifies which document universe a collection lives in. The
 // index machinery is structural and format-blind — everything downstream
-// of ParseDoc/DocTerms sees one element tree universe — so the format is
+// of ParseDoc/Parser sees one element tree universe — so the format is
 // a property of the corpus (and is persisted in the index meta so an
 // opened index knows how to interpret stored document bytes).
 type Format int
@@ -48,55 +48,38 @@ func ParseFormat(s string) (Format, error) {
 
 // ParseDoc builds the element tree of one document in either universe.
 func ParseDoc(f Format, data []byte) (*xmlscan.Node, error) {
-	switch f {
-	case FormatJSON:
-		d, err := jsoncorpus.Map(data)
+	if f == FormatJSON {
+		d, err := jsoncorpus.Map(data, nil)
 		if err != nil {
 			return nil, err
 		}
 		return d.Root, nil
-	default:
-		return xmlscan.Parse(data)
 	}
+	return xmlscan.Parse(data)
 }
 
-// DocTerms extracts the term occurrences of one document in either
-// universe; offsets are into the document's canonical rendering (the
-// bytes themselves for XML).
-func DocTerms(f Format, data []byte) ([]xmlscan.Term, error) {
-	switch f {
-	case FormatJSON:
-		d, err := jsoncorpus.Map(data)
-		if err != nil {
-			return nil, err
-		}
-		return d.Terms, nil
-	default:
-		return xmlscan.DocTerms(data)
-	}
+// Parser parses documents of either universe and groups their terms,
+// reusing its scratch from one document to the next (see
+// xmlscan.Grouper and jsoncorpus.Mapper). One worker keeps one Parser;
+// a Parser is not safe for concurrent use. The zero value is ready to
+// use.
+type Parser struct {
+	g xmlscan.Grouper
+	m jsoncorpus.Mapper
 }
 
-// ParseAndTerms computes tree and terms in one pass — for JSON the two
-// share a single Map call, for XML it is two scans of the same bytes.
-func ParseAndTerms(f Format, data []byte) (*xmlscan.Node, []xmlscan.Term, error) {
-	switch f {
-	case FormatJSON:
-		d, err := jsoncorpus.Map(data)
+// Parse builds the element tree of one document and groups its terms,
+// in one pass over the bytes. Offsets are into the document's canonical
+// rendering (the bytes themselves for XML).
+func (p *Parser) Parse(f Format, data []byte) (*xmlscan.Node, xmlscan.TermGroups, error) {
+	if f == FormatJSON {
+		d, err := p.m.Map(data, &p.g)
 		if err != nil {
-			return nil, nil, err
+			return nil, xmlscan.TermGroups{}, err
 		}
-		return d.Root, d.Terms, nil
-	default:
-		root, err := xmlscan.Parse(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		terms, err := xmlscan.DocTerms(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return root, terms, nil
+		return d.Root, d.Groups, nil
 	}
+	return p.g.Parse(data)
 }
 
 // RenderXML returns the canonical rendering all element offsets refer

@@ -2,8 +2,6 @@ package index
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"trex/internal/corpus"
 	"trex/internal/summary"
@@ -33,8 +31,8 @@ type StagedBatch struct {
 	// staged-bytes telemetry gauge sums this across pending batches.
 	Bytes int64
 
-	roots []*xmlscan.Node
-	terms [][]xmlscan.Term
+	roots  []*xmlscan.Node
+	groups []xmlscan.TermGroups
 }
 
 // Append folds another staged batch onto b (streaming ingest
@@ -45,7 +43,7 @@ func (b *StagedBatch) Append(o *StagedBatch) error {
 	}
 	b.Docs = append(b.Docs, o.Docs...)
 	b.roots = append(b.roots, o.roots...)
-	b.terms = append(b.terms, o.terms...)
+	b.groups = append(b.groups, o.groups...)
 	b.Bytes += o.Bytes
 	return nil
 }
@@ -60,39 +58,36 @@ func (b *StagedBatch) Renumber(first int) {
 	}
 }
 
-// StageDocuments parses and tokenizes a batch in either universe,
-// in parallel, without touching the store. All malformed-input errors
-// surface here, before anything is written.
+// StageDocuments parses a batch in either universe and groups each
+// document's terms, on the same worker pool as BuildBase, without
+// touching the store. All malformed-input errors surface here, before
+// anything is written; the first malformed document in batch order is
+// the one reported.
 func StageDocuments(f corpus.Format, docs []corpus.Document) (*StagedBatch, error) {
 	b := &StagedBatch{
 		Format: f,
 		Docs:   docs,
 		roots:  make([]*xmlscan.Node, len(docs)),
-		terms:  make([][]xmlscan.Term, len(docs)),
+		groups: make([]xmlscan.TermGroups, len(docs)),
 	}
-	errs := make([]error, len(docs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range docs {
-		b.Bytes += int64(len(docs[i].Data))
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			root, terms, err := corpus.ParseAndTerms(f, docs[i].Data)
-			if err != nil {
-				errs[i] = fmt.Errorf("index: parse doc %d: %w", docs[i].ID, err)
-				return
-			}
-			b.roots[i] = root
-			b.terms[i] = terms
-		}(i)
+	type staged struct {
+		root   *xmlscan.Node
+		groups xmlscan.TermGroups
 	}
-	wg.Wait()
-	for _, err := range errs {
+	parse := func(p *corpus.Parser, i int) (staged, error) {
+		root, groups, err := p.Parse(f, docs[i].Data)
 		if err != nil {
-			return nil, err
+			return staged{}, fmt.Errorf("index: parse doc %d: %w", docs[i].ID, err)
 		}
+		return staged{root, groups}, nil
+	}
+	fold := func(i int, r staged) error {
+		b.roots[i], b.groups[i] = r.root, r.groups
+		b.Bytes += int64(len(docs[i].Data))
+		return nil
+	}
+	if err := parseInOrder(len(docs), parse, fold); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -166,17 +161,19 @@ func ApplyStaged(s *Store, b *StagedBatch, sum *summary.Summary) (*AppendStats, 
 			}
 			stats.Elements++
 		}
-		seenInDoc := make(map[string]bool)
-		for _, t := range b.terms[i] {
-			if stop[t.Text] {
+		tg := &b.groups[i]
+		for gi, t := range tg.Terms {
+			if stop[t] {
 				continue
 			}
-			postings[t.Text] = append(postings[t.Text], Pos{Doc: uint32(d.ID), Off: uint32(t.Offset)})
-			cfDelta[t.Text]++
-			if !seenInDoc[t.Text] {
-				seenInDoc[t.Text] = true
-				dfDelta[t.Text]++
+			offs := tg.At(gi)
+			ps := postings[t]
+			for _, off := range offs {
+				ps = append(ps, Pos{Doc: uint32(d.ID), Off: off})
 			}
+			postings[t] = ps
+			cfDelta[t] += uint64(len(offs))
+			dfDelta[t]++
 		}
 	}
 

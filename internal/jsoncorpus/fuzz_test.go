@@ -9,7 +9,7 @@ import (
 // FuzzJSONToElements is the mapper's safety net: arbitrary bytes must
 // never panic, and every accepted document must (a) agree with the XML
 // scanner over its own rendering — the one-pass layout versus the real
-// parser — and (b) round-trip losslessly through the element tree back
+// parser, element tree and grouped terms alike — and (b) round-trip losslessly through the element tree back
 // to canonical JSON.
 func FuzzJSONToElements(f *testing.F) {
 	for _, doc := range sampleDocs {
@@ -18,24 +18,21 @@ func FuzzJSONToElements(f *testing.F) {
 	f.Add([]byte(`{"a":[[],[[]],[{"":null}]]}`))
 	f.Add([]byte("{\"\x00\":\"\x1f\",\"&<>\":\"&<>\"}"))
 	f.Add([]byte(`1e-00007`))
+	var g, xg xmlscan.Grouper
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Map(data)
+		d, err := Map(data, &g)
 		if err != nil {
 			return // not a JSON document; rejection is the only requirement
 		}
-		wantRoot, err := xmlscan.Parse(d.XML)
+		wantRoot, wantGroups, err := xg.Parse(d.XML)
 		if err != nil {
 			t.Fatalf("rendering does not re-parse: %v\nxml: %q", err, d.XML)
 		}
 		if err := sameTree(d.Root, wantRoot); err != nil {
 			t.Fatalf("tree mismatch: %v\nxml: %q", err, d.XML)
 		}
-		wantTerms, err := xmlscan.DocTerms(d.XML)
-		if err != nil {
-			t.Fatalf("DocTerms over rendering: %v", err)
-		}
-		if err := sameTerms(d.Terms, wantTerms); err != nil {
-			t.Fatalf("terms mismatch: %v\nxml: %q", err, d.XML)
+		if err := sameGroups(d.Groups, wantGroups); err != nil {
+			t.Fatalf("term groups mismatch: %v\nxml: %q", err, d.XML)
 		}
 		back, err := FromXML(d.XML)
 		if err != nil {

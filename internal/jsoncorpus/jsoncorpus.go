@@ -10,8 +10,8 @@
 //   - scalars become text runs (numbers, bools and null carry a type
 //     attribute so the mapping inverts losslessly).
 //
-// Map builds the element tree and term list DIRECTLY from the JSON
-// bytes in one pass, computing byte offsets by laying out the canonical
+// Map builds the element tree and term groups DIRECTLY from the JSON
+// bytes, computing byte offsets by laying out the canonical
 // XML rendering without going through the XML scanner. ToXML produces
 // that rendering as real bytes; FromXML inverts it. The cross-universe
 // differential oracle (internal/oracle) asserts that indexing a JSON
@@ -35,15 +35,16 @@ import (
 )
 
 // Doc is the result of mapping one JSON document into the element
-// universe: the parsed tree, the term occurrences, and the canonical
-// XML rendering all offsets refer to.
+// universe: the parsed tree, the grouped terms, and the canonical XML
+// rendering all offsets refer to.
 type Doc struct {
 	// Root is the element tree; offsets (Start/End) are byte positions
 	// within XML, exactly as xmlscan.Parse(XML) would assign them.
 	Root *xmlscan.Node
-	// Terms are the term occurrences with offsets into XML, exactly as
-	// xmlscan.DocTerms(XML) would produce them.
-	Terms []xmlscan.Term
+	// Groups are the terms with offsets into XML, exactly as an
+	// xmlscan.Grouper parsing XML would group them. Empty when Map was
+	// given no grouper.
+	Groups xmlscan.TermGroups
 	// XML is the canonical rendering (deterministic bytes: object keys
 	// sorted, no inter-tag whitespace).
 	XML []byte
@@ -58,37 +59,33 @@ const RootTag = "doc"
 const ItemTag = "el"
 
 // decode parses JSON bytes preserving number literals verbatim
-// (json.Number), rejecting trailing garbage.
-func decode(data []byte) (any, error) {
+// (json.Number), rejecting trailing data that is itself a JSON value.
+// end is where the accepted value ends in data.
+func decode(data []byte) (v any, end int, err error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
-	var v any
 	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("jsoncorpus: %w", err)
+		return nil, 0, fmt.Errorf("jsoncorpus: %w", err)
 	}
-	// A second Decode must hit EOF: "1 2" is not one document.
+	end = int(dec.InputOffset())
+	// A second Decode must fail: "1 2" is not one document.
 	var trailing any
 	if err := dec.Decode(&trailing); err == nil {
-		return nil, fmt.Errorf("jsoncorpus: trailing data after JSON value")
+		return nil, 0, fmt.Errorf("jsoncorpus: trailing data after JSON value")
 	}
-	return v, nil
+	return v, end, nil
 }
 
-// Map parses one JSON document and maps it into the element universe in
-// a single pass. See Doc for what the offsets mean.
-func Map(data []byte) (*Doc, error) {
-	v, err := decode(data)
-	if err != nil {
-		return nil, err
-	}
-	b := &builder{}
-	root := b.value(RootTag, false, v, nil)
-	return &Doc{Root: root, Terms: b.terms, XML: b.buf}, nil
+// Map parses one JSON document and maps it into the element universe,
+// grouping its terms with g (nil skips tokenizing). See Doc for what the
+// offsets mean.
+func Map(data []byte, g *xmlscan.Grouper) (*Doc, error) {
+	return new(Mapper).Map(data, g)
 }
 
 // ToXML returns the canonical XML rendering of a JSON document.
 func ToXML(data []byte) ([]byte, error) {
-	d, err := Map(data)
+	d, err := Map(data, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,118 +94,15 @@ func ToXML(data []byte) ([]byte, error) {
 
 // Canonical returns the canonical JSON form of a document: object keys
 // sorted, number literals preserved, strings minimally escaped. It is
-// the fixpoint FromXML(ToXML(x)) lands on.
+// the fixpoint FromXML(ToXML(x)) lands on. It decodes with
+// encoding/json, independently of Map's parser, so the round trip
+// FromXML(ToXML(x)) == Canonical(x) checks one against the other.
 func Canonical(data []byte) ([]byte, error) {
-	v, err := decode(data)
+	v, _, err := decode(data)
 	if err != nil {
 		return nil, err
 	}
 	return appendCanonical(nil, v), nil
-}
-
-// builder lays out the canonical rendering, assigning element offsets
-// and tokenizing text runs as it writes them.
-type builder struct {
-	buf   []byte
-	terms []xmlscan.Term
-}
-
-// text appends an escaped text run and tokenizes the escaped bytes at
-// their rendered offsets (entity escapes tokenize exactly as the XML
-// scanner would see them, e.g. "&amp;" contributes the token "amp").
-func (b *builder) text(s string) {
-	start := len(b.buf)
-	b.buf = appendEscapedText(b.buf, s)
-	xmlscan.Tokenize(b.buf[start:], start, func(t xmlscan.Term) {
-		b.terms = append(b.terms, t)
-	})
-}
-
-// open writes a start tag; typ 0 means string (no type attribute).
-func (b *builder) open(tag string, arrayItem bool, typ byte) {
-	b.buf = append(b.buf, '<')
-	b.buf = append(b.buf, tag...)
-	if arrayItem {
-		b.buf = append(b.buf, ` a="1"`...)
-	}
-	if typ != 0 {
-		b.buf = append(b.buf, ` t="`...)
-		b.buf = append(b.buf, typ, '"')
-	}
-	b.buf = append(b.buf, '>')
-}
-
-func (b *builder) close(tag string) {
-	b.buf = append(b.buf, '<', '/')
-	b.buf = append(b.buf, tag...)
-	b.buf = append(b.buf, '>')
-}
-
-// value renders one JSON value as an element with the given tag,
-// returning the element node with its Start/End offsets.
-func (b *builder) value(tag string, arrayItem bool, v any, parent *xmlscan.Node) *xmlscan.Node {
-	n := &xmlscan.Node{Tag: tag, Start: len(b.buf), Parent: parent}
-	if parent != nil {
-		parent.Children = append(parent.Children, n)
-	}
-	switch x := v.(type) {
-	case nil:
-		b.open(tag, arrayItem, 'z')
-	case bool:
-		b.open(tag, arrayItem, 'b')
-		if x {
-			b.text("true")
-		} else {
-			b.text("false")
-		}
-	case json.Number:
-		b.open(tag, arrayItem, 'n')
-		b.text(x.String())
-	case string:
-		b.open(tag, arrayItem, 0)
-		b.text(x)
-	case map[string]any:
-		b.open(tag, arrayItem, 'o')
-		for _, k := range sortedKeys(x) {
-			b.member(EncodeKey(k), x[k], n)
-		}
-	case []any:
-		// Reached for nested arrays (an array item that is itself an
-		// array) and for a top-level array: items get the synthetic
-		// ItemTag, never exploded, so [[1,2]] and [[1],[2]] stay
-		// distinguishable.
-		b.open(tag, arrayItem, 'v')
-		for _, item := range x {
-			b.value(ItemTag, false, item, n)
-		}
-	default:
-		// decode() only produces the cases above.
-		panic(fmt.Sprintf("jsoncorpus: impossible decoded type %T", v))
-	}
-	b.close(tag)
-	n.End = len(b.buf)
-	return n
-}
-
-// member renders one object member. Arrays explode into repeated
-// siblings carrying the member's tag (marked a="1" so the mapping
-// inverts); an empty array leaves a t="a" placeholder.
-func (b *builder) member(tag string, v any, parent *xmlscan.Node) {
-	if arr, ok := v.([]any); ok {
-		if len(arr) == 0 {
-			n := &xmlscan.Node{Tag: tag, Start: len(b.buf), Parent: parent}
-			parent.Children = append(parent.Children, n)
-			b.open(tag, false, 'a')
-			b.close(tag)
-			n.End = len(b.buf)
-			return
-		}
-		for _, item := range arr {
-			b.value(tag, true, item, parent)
-		}
-		return
-	}
-	b.value(tag, false, v, parent)
 }
 
 func sortedKeys(m map[string]any) []string {
@@ -222,7 +116,7 @@ func sortedKeys(m map[string]any) []string {
 
 // appendEscapedText escapes the three markup bytes; everything else
 // (including control bytes and non-UTF8) passes through as text.
-func appendEscapedText(buf []byte, s string) []byte {
+func appendEscapedText(buf []byte, s []byte) []byte {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '&':
@@ -279,6 +173,9 @@ func EncodeKey(key string) string {
 	if key == "" {
 		return "_"
 	}
+	if isPlainKey(key) {
+		return key
+	}
 	var sb strings.Builder
 	for i := 0; i < len(key); i++ {
 		b := key[i]
@@ -294,6 +191,17 @@ func EncodeKey(key string) string {
 		}
 	}
 	return sb.String()
+}
+
+// isPlainKey reports whether EncodeKey passes key through unchanged.
+func isPlainKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		b := key[i]
+		if !(b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9' && i > 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeKey inverts EncodeKey; it errors on byte sequences EncodeKey

@@ -2,6 +2,7 @@ package jsoncorpus
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"trex/internal/xmlscan"
@@ -27,6 +28,12 @@ var sampleDocs = []string{
 	`{"dup-ish":[{"a":1},{"a":1}],"unicode":"héllo wörld ☃"}`,
 	`{"ctrl":"tab\tnewline\nquote\"backslash\\"}`,
 	`{"mixed":[null,true,"s",7,[8],{"o":9},[]]}`,
+	" { \"b\" :\t[ 1 , 2.50 ] ,\r\n \"a\" : \"x\" } ",
+	`{"k":1,"k":{"x":2},"\u006b":3,"j":[1],"j":[]}`,
+	`{"s":"\ud83d\ude00 \ud800 \udc00x \ud800\u0041 \u00e9\/\b\f"}`,
+	"{\"bad\":\"\xff\xfe ok \xed\xa0\x80 caf\xc3\xa9\"}",
+	`1 x`,
+	`{"a":1}}`,
 }
 
 func TestMapGolden(t *testing.T) {
@@ -56,23 +63,20 @@ func TestMapGoldenTopLevelArray(t *testing.T) {
 // differential: Map computes tree/terms/offsets directly in one pass,
 // and must agree byte-for-byte with xmlscan parsing the rendering.
 func TestMapMatchesScanner(t *testing.T) {
+	var g, xg xmlscan.Grouper
 	for _, doc := range sampleDocs {
-		d, err := Map([]byte(doc))
+		d, err := Map([]byte(doc), &g)
 		if err != nil {
 			t.Fatalf("Map(%s): %v", doc, err)
 		}
-		wantRoot, err := xmlscan.Parse(d.XML)
+		wantRoot, wantGroups, err := xg.Parse(d.XML)
 		if err != nil {
-			t.Fatalf("xmlscan.Parse over rendering of %s: %v", doc, err)
+			t.Fatalf("xmlscan parse over rendering of %s: %v", doc, err)
 		}
 		if err := sameTree(d.Root, wantRoot); err != nil {
 			t.Fatalf("tree mismatch for %s over %s: %v", doc, d.XML, err)
 		}
-		wantTerms, err := xmlscan.DocTerms(d.XML)
-		if err != nil {
-			t.Fatalf("xmlscan.DocTerms over rendering of %s: %v", doc, err)
-		}
-		if err := sameTerms(d.Terms, wantTerms); err != nil {
+		if err := sameGroups(d.Groups, wantGroups); err != nil {
 			t.Fatalf("terms mismatch for %s over %s: %v", doc, d.XML, err)
 		}
 	}
@@ -94,13 +98,16 @@ func sameTree(got, want *xmlscan.Node) error {
 	return nil
 }
 
-func sameTerms(got, want []xmlscan.Term) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("got %d terms, want %d", len(got), len(want))
+func sameGroups(got, want xmlscan.TermGroups) error {
+	if !slices.Equal(got.Terms, want.Terms) {
+		return fmt.Errorf("terms %q, want %q", got.Terms, want.Terms)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Errorf("term %d: got %+v want %+v", i, got[i], want[i])
+	if len(got.Offsets) != len(want.Offsets) {
+		return fmt.Errorf("%d occurrences, want %d", len(got.Offsets), len(want.Offsets))
+	}
+	for i, term := range got.Terms {
+		if !slices.Equal(got.At(i), want.At(i)) {
+			return fmt.Errorf("term %q offsets %v, want %v", term, got.At(i), want.At(i))
 		}
 	}
 	return nil
@@ -140,7 +147,7 @@ func TestMapErrors(t *testing.T) {
 		``, `   `, `{`, `[1,]`, `{"a":}`, `1 2`, `{"a":1}{"b":2}`,
 		`nul`, `tru`, `"unterminated`, `{"a":01}`,
 	} {
-		if _, err := Map([]byte(bad)); err == nil {
+		if _, err := Map([]byte(bad), new(xmlscan.Grouper)); err == nil {
 			t.Errorf("Map(%q): want error, got nil", bad)
 		}
 	}

@@ -4,16 +4,28 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // snapshot is the serialized form of a Summary, so an engine can reopen a
 // collection from disk without re-parsing the corpus.
 type snapshot struct {
-	Kind    Kind
-	K       int
+	Kind Kind
+	K    int
+	// Aliases is how snapshots written before AliasPairs held the alias
+	// map. gob writes a map in iteration order, so those snapshots' bytes
+	// varied from one encoding to the next; it is only read now.
 	Aliases map[string]string
 	Safe    bool
 	Nodes   []snapshotNode
+	// AliasPairs holds the alias map as (synonym, canonical) pairs sorted
+	// by synonym, so equal summaries encode to equal bytes.
+	AliasPairs []aliasPair
+}
+
+type aliasPair struct {
+	From, To string
 }
 
 type snapshotNode struct {
@@ -27,11 +39,14 @@ type snapshotNode struct {
 // MarshalBinary encodes the summary with encoding/gob.
 func (s *Summary) MarshalBinary() ([]byte, error) {
 	snap := snapshot{
-		Kind:    s.Kind,
-		K:       s.K,
-		Aliases: s.Aliases,
-		Safe:    s.safe,
+		Kind: s.Kind,
+		K:    s.K,
+		Safe: s.safe,
 	}
+	for from, to := range s.Aliases {
+		snap.AliasPairs = append(snap.AliasPairs, aliasPair{From: from, To: to})
+	}
+	slices.SortFunc(snap.AliasPairs, func(a, b aliasPair) int { return strings.Compare(a.From, b.From) })
 	for _, n := range s.Nodes {
 		snap.Nodes = append(snap.Nodes, snapshotNode{
 			Label:      n.Label,
@@ -57,6 +72,12 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	s.Kind = snap.Kind
 	s.K = snap.K
 	s.Aliases = snap.Aliases
+	if len(snap.AliasPairs) > 0 {
+		s.Aliases = make(map[string]string, len(snap.AliasPairs))
+		for _, p := range snap.AliasPairs {
+			s.Aliases[p.From] = p.To
+		}
+	}
 	s.safe = snap.Safe
 	s.Nodes = nil
 	s.byKey = make(map[string]*Node, len(snap.Nodes))

@@ -1,6 +1,9 @@
 package summary
 
 import (
+	"bytes"
+	"encoding/gob"
+	"maps"
 	"strings"
 	"testing"
 
@@ -69,5 +72,61 @@ func TestSnapshotBadData(t *testing.T) {
 	var s Summary
 	if err := s.UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Fatal("garbage decoded")
+	}
+}
+
+// TestSnapshotIsDeterministic: equal summaries encode to equal bytes.
+// The alias map used to be gob-encoded as a map, in map order.
+func TestSnapshotIsDeterministic(t *testing.T) {
+	col := corpus.GenerateIEEE(10, 4)
+	s, err := Build(col, Options{Kind: KindIncoming, Aliases: col.Aliases})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Aliases) < 2 {
+		t.Fatalf("%d aliases: too few for map order to show", len(s.Aliases))
+	}
+	first, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, first) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
+	}
+}
+
+// TestSnapshotReadsMapEncodedAliases: a snapshot written with the alias
+// map in the old map encoding still decodes, aliases included.
+func TestSnapshotReadsMapEncodedAliases(t *testing.T) {
+	col := corpus.GenerateIEEE(10, 4)
+	s, err := Build(col, Options{Kind: KindIncoming, Aliases: col.Aliases})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := snapshot{Kind: s.Kind, K: s.K, Aliases: s.Aliases, Safe: s.safe}
+	for _, n := range s.Nodes {
+		old.Nodes = append(old.Nodes, snapshotNode{
+			Label: n.Label, Path: n.Path, Parent: n.Parent, Children: n.Children, ExtentSize: n.ExtentSize,
+		})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var restored Summary
+	if err := restored.UnmarshalBinary(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(restored.Aliases, s.Aliases) {
+		t.Fatalf("aliases %v, want %v", restored.Aliases, s.Aliases)
+	}
+	if restored.NumNodes() != s.NumNodes() || !restored.SafeForRetrieval() {
+		t.Fatalf("restored %d nodes (safe %v), want %d", restored.NumNodes(), restored.SafeForRetrieval(), s.NumNodes())
 	}
 }

@@ -50,6 +50,7 @@ func genDoc(rng *rand.Rand, maxDepth int) (string, int) {
 // '<'/'>' boundaries).
 func TestQuickGeneratedDocsParse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var g Grouper
 	for trial := 0; trial < 400; trial++ {
 		doc, wantCount := genDoc(rng, 4)
 		root, err := Parse([]byte(doc))
@@ -80,14 +81,16 @@ func TestQuickGeneratedDocsParse(t *testing.T) {
 			return true
 		})
 		// Term offsets always point into text, never into markup.
-		terms, err := DocTerms([]byte(doc))
+		_, tg, err := g.Parse([]byte(doc))
 		if err != nil {
-			t.Fatalf("trial %d: DocTerms: %v", trial, err)
+			t.Fatalf("trial %d: Grouper.Parse: %v", trial, err)
 		}
-		for _, tm := range terms {
-			got := strings.ToLower(doc[tm.Offset : tm.Offset+len(tm.Text)])
-			if got != tm.Text {
-				t.Fatalf("trial %d: term %q offset %d points at %q", trial, tm.Text, tm.Offset, got)
+		for i, term := range tg.Terms {
+			for _, off := range tg.At(i) {
+				got := strings.ToLower(doc[off : int(off)+len(term)])
+				if got != term {
+					t.Fatalf("trial %d: term %q offset %d points at %q", trial, term, off, got)
+				}
 			}
 		}
 	}

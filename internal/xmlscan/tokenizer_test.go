@@ -2,6 +2,7 @@ package xmlscan
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,37 +55,56 @@ func TestTokenizeEmpty(t *testing.T) {
 }
 
 func TestDocTerms(t *testing.T) {
-	doc := `<a>alpha <b>beta gamma</b> delta</a>`
-	terms, err := DocTerms([]byte(doc))
+	doc := `<a>alpha <b>Beta gamma ALPHA</b> x delta alpha</a>`
+	var g Grouper
+	_, tg, err := g.Parse([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var texts []string
-	for _, tm := range terms {
-		texts = append(texts, tm.Text)
-	}
+	// Distinct terms in first-occurrence order, lowercased; "x" is too
+	// short to be a term.
 	want := []string{"alpha", "beta", "gamma", "delta"}
-	if !reflect.DeepEqual(texts, want) {
-		t.Fatalf("DocTerms = %v, want %v", texts, want)
+	if !reflect.DeepEqual(tg.Terms, want) {
+		t.Fatalf("Terms = %v, want %v", tg.Terms, want)
 	}
-	// Offsets must point at the exact byte of each token.
-	for _, tm := range terms {
-		end := tm.Offset + len(tm.Text)
-		if got := string(doc[tm.Offset:end]); got != tm.Text {
-			t.Errorf("term %q offset %d points at %q", tm.Text, tm.Offset, got)
+	wantOffs := [][]uint32{{3, 23, 41}, {12}, {17}, {35}}
+	for i, term := range tg.Terms {
+		offs := tg.At(i)
+		if !reflect.DeepEqual(offs, wantOffs[i]) {
+			t.Errorf("%s offsets = %v, want %v", term, offs, wantOffs[i])
+		}
+		// Offsets point at the token itself, case-insensitively.
+		for _, off := range offs {
+			if got := strings.ToLower(doc[off : int(off)+len(term)]); got != term {
+				t.Errorf("term %q offset %d points at %q", term, off, got)
+			}
 		}
 	}
-	// Offsets strictly increase.
-	for i := 1; i < len(terms); i++ {
-		if terms[i].Offset <= terms[i-1].Offset {
-			t.Errorf("offset order violated: %d after %d", terms[i].Offset, terms[i-1].Offset)
-		}
+	if len(tg.Offsets) != 6 {
+		t.Fatalf("%d occurrences, want 6", len(tg.Offsets))
+	}
+	// The grouper starts the next document from nothing.
+	_, tg, err = g.Parse([]byte(`<a>gamma</a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tg.Terms, []string{"gamma"}) || !reflect.DeepEqual(tg.At(0), []uint32{3}) {
+		t.Fatalf("second document: %v %v", tg.Terms, tg.Offsets)
 	}
 }
 
 func TestDocTermsErrorPropagates(t *testing.T) {
-	if _, err := DocTerms([]byte(`<a>oops`)); err == nil {
+	var g Grouper
+	if _, _, err := g.Parse([]byte(`<a>oops`)); err == nil {
 		t.Fatal("expected error")
+	}
+	// A failed document leaves nothing behind for the next one.
+	_, tg, err := g.Parse([]byte(`<a>fine</a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tg.Terms, []string{"fine"}) || len(tg.Offsets) != 1 {
+		t.Fatalf("after an error: %v %v", tg.Terms, tg.Offsets)
 	}
 }
 

@@ -55,7 +55,10 @@ func (n *Node) Count() int {
 // Parse builds the element tree of a document. Text runs are not stored in
 // the tree (term offsets come from the scanner directly); the tree serves
 // summary construction and extent computation.
-func Parse(data []byte) (*Node, error) {
+func Parse(data []byte) (*Node, error) { return parse(data, nil) }
+
+// parse is Parse, feeding every text run to g when g is not nil.
+func parse(data []byte, g *Grouper) (*Node, error) {
 	s := NewScanner(data)
 	var root *Node
 	var cur *Node
@@ -79,6 +82,10 @@ func Parse(data []byte) (*Node, error) {
 			}
 			cur.End = ev.Offset
 			cur = cur.Parent
+		case KindText:
+			if g != nil {
+				g.Text(ev.Text, ev.Offset)
+			}
 		}
 	}
 	if err := s.Err(); err != nil {
