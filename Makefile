@@ -20,13 +20,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet also guards the query path against the reflection sort and the
-# interface heap coming back: retrieval, the list iterators, query.go and
-# combine.go sort with slices.SortFunc and sift their heaps with typed code (DESIGN.md,
+# vet fails, listing the files, when gofmt would reformat any. It also
+# guards the query path against the reflection sort and the interface heap
+# coming back: retrieval, the list iterators, query.go and combine.go sort
+# with slices.SortFunc and sift their heaps with typed code (DESIGN.md,
 # "Merge pass").
 QUERY_PATH_GO = $(filter-out %_test.go,$(wildcard internal/retrieval/*.go internal/index/*.go)) query.go combine.go
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo 'vet: gofmt -l lists files that are not gofmt-formatted:'; echo "$$unformatted"; exit 1; \
+	fi
 	@if grep -n -e 'sort\.Slice(' -e '"container/heap"' $(QUERY_PATH_GO); then \
 		echo 'vet: sort.Slice / container/heap on the query path (use slices.SortFunc and a typed sift)'; exit 1; \
 	fi
@@ -142,7 +146,7 @@ test-cluster:
 # translation), the corpus format-dispatch tests, and the 200-case
 # cross-universe differential oracle asserting ERA/TA/NRA/Merge return
 # byte-identical rankings for a JSON collection and its canonical XML
-# rendering over v1/v2/segment stores.
+# rendering over the v2, split and segment list stores.
 test-json:
 	$(GO) test ./internal/jsoncorpus -count=1
 	$(GO) test ./internal/corpus -count=1
@@ -161,8 +165,8 @@ test-ingest:
 	$(GO) test ./internal/cluster -run 'TestClusterStreamingIngestConvergesEpochs' -race -count=1
 	$(GO) test ./internal/webapi -run 'TestIngest' -count=1
 
-# fuzz gives each fuzz target — the list and posting codecs, the list
-# build's radix sort, the cursor's forward seek, the segment reader, the JSON
+# fuzz gives each fuzz target — the block-row and posting-fragment
+# decoders (the current formats only), the list build's radix sort, the cursor's forward seek, the segment reader, the JSON
 # mapping, the index build's grouped tokenizer, the engine's answer ranking
 # (ROOT_FUZZ_TARGETS, in the root package) — a short bounded run:
 # long enough to catch a regression, short enough for CI. The loop fails
@@ -203,9 +207,9 @@ fuzz:
 
 # soak is the nightly differential-oracle long run: thousands of seeded
 # random cases asserting byte-identical rankings across every strategy
-# and list format. SEED=0 picks a fresh wall-clock seed (the test logs
-# it); replay a red run with `make soak SEED=<logged seed>`. CASES
-# overrides the case count.
+# and list store (v2, split, segment). SEED=0 picks a fresh wall-clock
+# seed (the test logs it); replay a red run with
+# `make soak SEED=<logged seed>`. CASES overrides the case count.
 SEED ?= 0
 CASES ?= 3000
 soak:

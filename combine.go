@@ -54,10 +54,10 @@ func compareAnswers(a, b retrieval.Scored) int {
 // score they are already ranked and keep of them are taken as they stand.
 // Otherwise a bounded heap keeps the best keep and only those are sorted.
 func (c *combiner) rank(scored []retrieval.Scored, keep int) ([]Answer, int, error) {
-	target := newSIDSet(c.targets)
+	target := retrieval.NewSIDSet(c.targets)
 	n := 0
 	for i := range scored {
-		if target.has(scored[i].Elem.SID) {
+		if target.Has(scored[i].Elem.SID) {
 			n++
 		}
 	}
@@ -71,7 +71,7 @@ func (c *combiner) rank(scored []retrieval.Scored, keep int) ([]Answer, int, err
 	cands := make([]retrieval.Scored, 0, n)
 	for i := range scored {
 		s := &scored[i]
-		if !target.has(s.Elem.SID) {
+		if !target.Has(s.Elem.SID) {
 			continue
 		}
 		var b float64
@@ -141,7 +141,7 @@ func (c *combiner) rank(scored []retrieval.Scored, keep int) ([]Answer, int, err
 // support descendant boosts the answer containing it. Answers never boost
 // each other — a containing answer's own score already counts every term
 // inside its span, so that would double-count.
-func supportBonus(scored []retrieval.Scored, target sidSet) []float64 {
+func supportBonus(scored []retrieval.Scored, target retrieval.SIDSet) []float64 {
 	bonus := make([]float64, len(scored))
 	var stack []uint32
 	for _, p := range positionOrder(scored) {
@@ -153,15 +153,15 @@ func supportBonus(scored []retrieval.Scored, target sidSet) []float64 {
 			}
 			stack = stack[:len(stack)-1]
 		}
-		if target.has(x.Elem.SID) {
+		if target.Has(x.Elem.SID) {
 			for _, a := range stack {
-				if !target.has(scored[a].Elem.SID) {
+				if !target.Has(scored[a].Elem.SID) {
 					bonus[p.i] += scored[a].Score // ancestor support
 				}
 			}
 		} else {
 			for _, a := range stack {
-				if target.has(scored[a].Elem.SID) {
+				if target.Has(scored[a].Elem.SID) {
 					bonus[a] += x.Score // descendant support
 				}
 			}
@@ -253,24 +253,4 @@ func siftWorst(h []retrieval.Scored, i int) {
 		h[i], h[w] = h[w], h[i]
 		i = w
 	}
-}
-
-// sidSet is a bitmap over summary sids.
-type sidSet []uint64
-
-func newSIDSet(sids []uint32) sidSet {
-	var top uint32
-	for _, s := range sids {
-		top = max(top, s)
-	}
-	set := make(sidSet, top/64+1)
-	for _, s := range sids {
-		set[s/64] |= 1 << (s % 64)
-	}
-	return set
-}
-
-func (s sidSet) has(sid uint32) bool {
-	w := int(sid / 64)
-	return w < len(s) && s[w]&(1<<(sid%64)) != 0
 }

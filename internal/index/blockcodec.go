@@ -8,19 +8,10 @@ import (
 	"slices"
 )
 
-// Block-encoded (v2) RPL/ERPL rows. The seed stored one B+tree row per
-// list entry — a ~20-byte composite key plus a 12-byte value — so key
-// overhead dominated both the on-disk footprint (the budget Section 4's
-// self-management optimizes against) and query I/O. v2 packs a run of
-// entries into a single row, delta-varint encoded, with a small header
-// carrying the entry count and a score/position bound that lets readers
-// reason about a whole block without decoding it.
-//
-// Version discrimination does not need a new key format: a v1 value is
-// exactly rplV1ValueLen bytes, while a v2 block value begins with
-// listFormatBlock and is never that length (its minimum sizes are 15
-// bytes for RPL and 16 for ERPL blocks). Mixed stores therefore keep
-// working — iterators decide per row.
+// Block-encoded RPL/ERPL rows: the one row format of both list tables.
+// A row packs a run of entries, delta-varint encoded, behind a small
+// header carrying the entry count and a score/position bound that lets
+// readers reason about a whole block without decoding it.
 //
 // Layouts (all varints are unsigned LEB128, multi-byte integers
 // big-endian):
@@ -32,8 +23,7 @@ import (
 //	Entries are in key order — (ir, sid, doc, end) ascending, i.e. score
 //	descending — and irDelta is relative to invertScore(maxScore), so the
 //	first delta is 0 and deltas are exact integer arithmetic (scores
-//	round-trip bit-for-bit). RPL blocks may mix sids, exactly as v1 rows
-//	interleave in key space.
+//	round-trip bit-for-bit). RPL blocks may mix sids.
 //
 //	ERPL block value:
 //	  0x02 | count uvarint | sid uvarint | maxDoc uvarint | maxEnd uvarint
@@ -45,13 +35,10 @@ import (
 //	(maxDoc, maxEnd) with the key's first entry give the block's position
 //	range. Scores are stored raw: position order makes score deltas noise.
 //
-// The block key is the ordinary v1 key of the block's first entry, so key
-// order still clusters blocks exactly where their entries would sit.
+// The block key is rplKey / erplKey of the block's first entry, so key
+// order clusters blocks where their entries sit. A value that does not
+// start with listFormatBlock is rejected (errOldFormat).
 const listFormatBlock = 0x02
-
-// rplV1ValueLen is the length of a v1 RPL/ERPL value; any other length
-// must be a block.
-const rplV1ValueLen = 12
 
 // BlockTargetEntries is how many entries the encoder packs per block
 // before sealing. 128 keeps worst-case encoded blocks well under the
@@ -161,7 +148,7 @@ func RadixScoreOrder(dst, scratch, entries []RPLEntry) {
 	}
 }
 
-// EncodeRPLBlocks encodes a term's entries into v2 block rows. Entries
+// EncodeRPLBlocks encodes a term's entries into block rows. Entries
 // already in score order, as RadixScoreOrder writes them, cost one O(n)
 // check; any others are sorted in place first. The returned rows carry
 // ascending, non-overlapping keys suitable for the bulk loader.
@@ -210,7 +197,7 @@ func EncodeRPLBlocks(term string, entries []RPLEntry) []ListRow {
 	return rows
 }
 
-// EncodeERPLBlocks encodes a term's entries into v2 ERPL block rows and
+// EncodeERPLBlocks encodes a term's entries into ERPL block rows and
 // seals blocks at sid boundaries, so every block holds a single sid.
 // Entries already in position order cost one O(n) check; any others are
 // sorted in place first.
@@ -306,6 +293,18 @@ func (r *uvReader) uint64() uint64 {
 	return v
 }
 
+// checkBlock rejects a list row that is not a block: empty, or written in
+// an earlier version's row-per-entry format.
+func checkBlock(v []byte, list string) error {
+	if len(v) == 0 {
+		return fmt.Errorf("index: empty %s row", list)
+	}
+	if v[0] != listFormatBlock {
+		return errOldFormat(list+" row", v[0], listFormatBlock)
+	}
+	return nil
+}
+
 // blockCount validates a decoded count against the bytes that remain,
 // assuming each entry takes at least minEntryBytes, so corrupt headers
 // cannot trigger huge allocations.
@@ -323,11 +322,11 @@ func (r *uvReader) blockCount(minEntryBytes int) (int, error) {
 	return int(c), nil
 }
 
-// decodeRPLBlock decodes a v2 RPL block value (including the leading
+// decodeRPLBlock decodes an RPL block value (including the leading
 // format byte) into its entries.
 func decodeRPLBlock(v []byte) ([]RPLEntry, error) {
-	if len(v) < 1 || v[0] != listFormatBlock {
-		return nil, fmt.Errorf("index: bad RPL block format")
+	if err := checkBlock(v, "RPL"); err != nil {
+		return nil, err
 	}
 	r := &uvReader{b: v[1:]}
 	count, err := r.blockCount(5)
@@ -359,41 +358,23 @@ func decodeRPLBlock(v []byte) ([]RPLEntry, error) {
 	return out, nil
 }
 
-// rplBlockMaxScore reads an RPL block header's max score without
-// decoding the entries.
-func rplBlockMaxScore(v []byte) (float64, error) {
-	if len(v) < 1 || v[0] != listFormatBlock {
-		return 0, fmt.Errorf("index: bad RPL block format")
-	}
-	r := &uvReader{b: v[1:]}
-	r.uvarint() // count
-	s := math.Float64frombits(r.uint64())
-	if r.bad {
-		return 0, fmt.Errorf("index: truncated RPL block header")
-	}
-	return s, nil
-}
-
-// rplRowCount reads an RPL row's entry count — 1 for a v1 row, the header
-// count of a block — without decoding the entries.
+// rplRowCount reads an RPL block's entry count without decoding the
+// entries.
 func rplRowCount(v []byte) (int, error) {
-	if len(v) == rplV1ValueLen {
-		return 1, nil
-	}
-	if len(v) < 1 || v[0] != listFormatBlock {
-		return 0, fmt.Errorf("index: bad RPL block format")
+	if err := checkBlock(v, "RPL"); err != nil {
+		return 0, err
 	}
 	r := &uvReader{b: v[1:]}
 	return r.blockCount(5)
 }
 
-// decodeERPLBlockInto decodes a v2 ERPL block value (including the leading
+// decodeERPLBlockInto decodes an ERPL block value (including the leading
 // format byte), appending its entries to dst: an iterator hands in the
 // buffer it owns, so a block costs no allocation once the buffer has grown
 // to block size.
 func decodeERPLBlockInto(dst []RPLEntry, v []byte) ([]RPLEntry, error) {
-	if len(v) < 1 || v[0] != listFormatBlock {
-		return dst, fmt.Errorf("index: bad ERPL block format")
+	if err := checkBlock(v, "ERPL"); err != nil {
+		return dst, err
 	}
 	r := &uvReader{b: v[1:]}
 	count, err := r.blockCount(11)
@@ -461,8 +442,8 @@ func uvarintHead(b []byte) (uint64, int) {
 // (doc, end) without decoding the entries — the skip metadata Merge's
 // bulk drain and lazy list totals are built on.
 func erplBlockBounds(v []byte) (count int, maxDoc, maxEnd uint32, err error) {
-	if len(v) < 1 || v[0] != listFormatBlock {
-		return 0, 0, 0, fmt.Errorf("index: bad ERPL block format")
+	if err := checkBlock(v, "ERPL"); err != nil {
+		return 0, 0, 0, err
 	}
 	r := &uvReader{b: v[1:]}
 	c := r.uvarint()
@@ -479,44 +460,4 @@ func erplBlockBounds(v []byte) (count int, maxDoc, maxEnd uint32, err error) {
 		return 0, 0, 0, fmt.Errorf("index: implausible block count 0")
 	}
 	return int(c), uint32(d), uint32(e), nil
-}
-
-// decodeRPLRow decodes a row of the RPLs tree, v1 or v2 — the per-row
-// version decision every reader makes.
-func decodeRPLRow(k, v []byte) ([]RPLEntry, error) {
-	if len(v) == rplV1ValueLen {
-		_, e, err := decodeRPL(k, v)
-		if err != nil {
-			return nil, err
-		}
-		return []RPLEntry{e}, nil
-	}
-	return decodeRPLBlock(v)
-}
-
-// decodeERPLRowInto decodes a row of the ERPLs tree, v1 or v2, appending
-// its entries to dst.
-func decodeERPLRowInto(dst []RPLEntry, k, v []byte) ([]RPLEntry, error) {
-	if len(v) == rplV1ValueLen {
-		_, e, err := decodeERPL(k, v)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, e), nil
-	}
-	return decodeERPLBlockInto(dst, v)
-}
-
-// erplRowStats returns the entry count and max (doc, end) of an ERPL row
-// without decoding block entries. The key supplies the identity for v1
-// rows (single entry: bounds are the entry itself).
-func erplRowStats(k, v []byte) (count int, maxDoc, maxEnd uint32, err error) {
-	if len(v) == rplV1ValueLen {
-		_, e, err := decodeERPL(k, v)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return 1, e.Doc, e.End, nil
-	}
-	return erplBlockBounds(v)
 }

@@ -62,10 +62,7 @@ func TestRPLBlockRoundTrip(t *testing.T) {
 		rows := EncodeRPLBlocks("term", entries)
 		var got []RPLEntry
 		for _, r := range rows {
-			if len(r.Value) == rplV1ValueLen {
-				t.Fatalf("block value of ambiguous v1 length %d", len(r.Value))
-			}
-			dec, err := decodeRPLRow(r.Key, r.Value)
+			dec, err := decodeRPLBlock(r.Value)
 			if err != nil {
 				t.Fatalf("n=%d: decode: %v", n, err)
 			}
@@ -94,7 +91,7 @@ func TestERPLBlockRoundTrip(t *testing.T) {
 					t.Fatalf("n=%d: ERPL block mixes sids %d and %d", n, sid, e.SID)
 				}
 			}
-			dec, err := decodeERPLRowInto(nil, r.Key, r.Value)
+			dec, err := decodeERPLBlockInto(nil, r.Value)
 			if err != nil {
 				t.Fatalf("n=%d: decode: %v", n, err)
 			}
@@ -135,10 +132,11 @@ func TestBlockByteAttribution(t *testing.T) {
 			}
 			total += rowSum
 		}
-		// Sanity: the encoding actually compresses vs 32-byte v1 rows.
-		v1 := len(entries) * (len("sometoken") + 1 + 20 + 12)
-		if total >= v1 {
-			t.Fatalf("%s: encoded %d bytes >= v1 %d", tc.name, total, v1)
+		// Sanity: the encoding compresses against one row per entry (the
+		// RPL key plus a 12-byte score and length).
+		perEntry := len(entries) * (len("sometoken") + 1 + 20 + 12)
+		if total >= perEntry {
+			t.Fatalf("%s: encoded %d bytes >= %d at one row per entry", tc.name, total, perEntry)
 		}
 	}
 }
@@ -147,7 +145,7 @@ func TestERPLBlockBounds(t *testing.T) {
 	entries := randEntries(300, 11)
 	rows := EncodeERPLBlocks("t", entries)
 	for i, r := range rows {
-		count, maxDoc, maxEnd, err := erplRowStats(r.Key, r.Value)
+		count, maxDoc, maxEnd, err := erplBlockBounds(r.Value)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
@@ -161,7 +159,8 @@ func TestERPLBlockBounds(t *testing.T) {
 	}
 }
 
-// writeBlocks writes entries as v2 blocks straight into the store.
+// writeBlocks writes entries as blocks straight into the store, as one
+// Materialize run would.
 func writeBlocks(t *testing.T, st *Store, kind ListKind, term string, entries []RPLEntry) {
 	t.Helper()
 	var rows []ListRow
@@ -221,26 +220,6 @@ func TestRPLIteratorOverBlocks(t *testing.T) {
 	}
 }
 
-// TestRPLIteratorMixedRows interleaves v1 rows with overlapping v2 blocks
-// (two materialization generations) and checks the merged emission order.
-func TestRPLIteratorMixedRows(t *testing.T) {
-	st := openEmptyStore(t)
-	entries := randEntries(260, 33)
-	// First half as blocks, second half as v1 rows: score ranges overlap,
-	// so rows of both formats interleave in key space.
-	writeBlocks(t, st, KindRPL, "xml", append([]RPLEntry(nil), entries[:130]...))
-	for _, e := range entries[130:] {
-		if err := st.PutRPL("xml", e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := append([]RPLEntry(nil), entries...)
-	SortRPLEntriesScoreOrder(want)
-	if err := entriesEqual(collectRPL(t, st, "xml"), want); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRPLIteratorOverlappingBlocks writes two block generations whose key
 // ranges interleave — the shape a partial rebuild could produce — and
 // checks the pending-merge still emits globally sorted entries.
@@ -261,41 +240,6 @@ func TestRPLIteratorOverlappingBlocks(t *testing.T) {
 	SortRPLEntriesScoreOrder(want)
 	if err := entriesEqual(collectRPL(t, st, "xml"), want); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestERPLIteratorOverBlocksAndMixed(t *testing.T) {
-	st := openEmptyStore(t)
-	entries := randEntries(400, 77)
-	writeBlocks(t, st, KindERPL, "q", append([]RPLEntry(nil), entries[:200]...))
-	for _, e := range entries[200:] {
-		if err := st.PutERPL("q", e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for sid := uint32(1); sid <= 4; sid++ {
-		var want []RPLEntry
-		for _, e := range entries {
-			if e.SID == sid {
-				want = append(want, e)
-			}
-		}
-		SortRPLEntriesPositionOrder(want)
-		it := NewERPLIterator(st, "q", sid)
-		var got []RPLEntry
-		for {
-			e, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, e)
-		}
-		if err := entriesEqual(got, want); err != nil {
-			t.Fatalf("sid %d: %v", sid, err)
-		}
 	}
 }
 
@@ -475,10 +419,10 @@ func TestDropListOverBlocks(t *testing.T) {
 
 // TestDropERPLOneSIDLeavesTheRestByteIdentical drops one sid of a term
 // whose ERPL rows span four sids, beside a term that extends its name
-// ("xml" and "xmlx") and a v1 row of the same sid: exactly that sid's
-// rows of that term go, the count is their entries, the catalog loses only
-// that record, and every other row of both trees keeps its key and value
-// bytes.
+// ("xml" and "xmlx") and a one-entry block of the same sid written by a
+// later run: exactly that sid's rows of that term go, the count is their
+// entries, the catalog loses only that record, and every other row of both
+// trees keeps its key and value bytes.
 func TestDropERPLOneSIDLeavesTheRestByteIdentical(t *testing.T) {
 	st := openEmptyStore(t)
 	type row struct{ k, v string }
@@ -502,9 +446,7 @@ func TestDropERPLOneSIDLeavesTheRestByteIdentical(t *testing.T) {
 	}
 	writeBlocks(t, st, KindERPL, term, slices.Clone(entries))
 	writeBlocks(t, st, KindERPL, "xmlx", randEntries(300, 32))
-	if err := st.PutERPL("xml", RPLEntry{Score: 2, SID: sid, Doc: 9999, End: 1, Length: 4}); err != nil {
-		t.Fatal(err)
-	}
+	writeBlocks(t, st, KindERPL, term, []RPLEntry{{Score: 2, SID: sid, Doc: 9999, End: 1, Length: 4}})
 	for s, n := range perSID {
 		if err := st.MarkBuilt(KindERPL, term, s, n, 0); err != nil {
 			t.Fatal(err)
@@ -544,8 +486,8 @@ func TestDropERPLOneSIDLeavesTheRestByteIdentical(t *testing.T) {
 
 // TestDropAllListsCountsLikePerListDrops: the one-pass drop reports the
 // entry count the per-list drops add up to — over block rows of several
-// terms and v1 rows side by side — and leaves both list trees and the
-// catalog empty.
+// terms, a one-sid list and an empty one — and leaves both list trees and
+// the catalog empty.
 func TestDropAllListsCountsLikePerListDrops(t *testing.T) {
 	build := func() *Store {
 		st := openEmptyStore(t)
@@ -564,19 +506,14 @@ func TestDropAllListsCountsLikePerListDrops(t *testing.T) {
 				}
 			}
 		}
-		// A v1 row-per-entry list and a list that was built empty.
-		for i, e := range randEntries(20, 99) {
-			e.SID = 9
-			e.Score += float64(i) / 1024
-			if err := st.PutRPL("legacy", e); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.PutERPL("legacy", e); err != nil {
-				t.Fatal(err)
-			}
+		// A one-sid list and a list that was built empty.
+		single := randEntries(20, 99)
+		for i := range single {
+			single[i].SID = 9
 		}
 		for _, kind := range []ListKind{KindRPL, KindERPL} {
-			if err := st.MarkBuilt(kind, "legacy", 9, 20, 0); err != nil {
+			writeBlocks(t, st, kind, "single", slices.Clone(single))
+			if err := st.MarkBuilt(kind, "single", 9, 20, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.MarkBuilt(kind, "absent", 3, 0, 0); err != nil {

@@ -70,12 +70,6 @@ func (e Element) Contains(p Pos) bool {
 	return p.Doc == e.Doc && e.Start() < p.Off && p.Off < e.End
 }
 
-// ContainsElem reports whether other's span lies strictly inside e.
-func (e Element) ContainsElem(other Element) bool {
-	return e.Doc == other.Doc && e.Start() <= other.Start() && other.End <= e.End &&
-		!(e.Start() == other.Start() && e.End == other.End)
-}
-
 // IsDummy reports whether e is the "no more elements" marker the
 // ERA iterator returns at extent end (end position m-pos, length zero).
 func (e Element) IsDummy() bool { return e.Doc == MaxPos.Doc && e.End == MaxPos.Off }
@@ -132,16 +126,6 @@ func termKey(term string, n int) []byte {
 	return out
 }
 
-// splitTermPrefix returns the term and the remainder of the key.
-func splitTermPrefix(k []byte) (string, []byte, error) {
-	for i, c := range k {
-		if c == 0 {
-			return string(k[:i]), k[i+1:], nil
-		}
-	}
-	return "", nil, fmt.Errorf("index: key lacks term terminator")
-}
-
 // --- PostingLists codec: key = token.doc.off (first position of the
 // fragment), value = packed positions ---
 
@@ -159,12 +143,8 @@ func postingKey(term string, first Pos) []byte {
 // storage.MaxValueSize.
 const maxPostingsPerFragment = 256
 
-// Posting value format tags. Fragments are written as postingFormatSkip;
-// postingFormatDelta is what earlier versions wrote and stays readable.
-const (
-	postingFormatDelta = 0x02
-	postingFormatSkip  = 0x03
-)
+// postingFormatSkip is the format byte every posting fragment starts with.
+const postingFormatSkip = 0x03
 
 // A postingFormatSkip fragment of n positions:
 //
@@ -233,12 +213,22 @@ type fragReader struct {
 	prev Pos    // entry i-1 (zero before the first)
 }
 
+// errOldFormat reports a stored value whose format byte is not the one
+// this version writes: a row of a database built by an earlier version
+// (or a corrupt one), which has to be rebuilt, not read.
+func errOldFormat(what string, tag, want byte) error {
+	return fmt.Errorf("index: %s has format byte 0x%02x, not 0x%02x: the database predates the current format and must be rebuilt", what, tag, want)
+}
+
 // openFragment checks the header and checkpoint table of a
 // postingFormatSkip value: the table must fit, and its positions and body
 // offsets must ascend inside the body, so jump can trust any of them.
 func openFragment(v []byte) (fragReader, error) {
-	if len(v) < postingHeaderSize || v[0] != postingFormatSkip {
-		return fragReader{}, fmt.Errorf("index: not a skip-format posting value")
+	if len(v) > 0 && v[0] != postingFormatSkip {
+		return fragReader{}, errOldFormat("posting fragment", v[0], postingFormatSkip)
+	}
+	if len(v) < postingHeaderSize {
+		return fragReader{}, fmt.Errorf("index: short posting value")
 	}
 	n := int(binary.BigEndian.Uint16(v[1:3]))
 	c := (n - 1) / checkpointInterval
@@ -332,68 +322,24 @@ func (r *fragReader) jump(p Pos) int {
 	return skipped
 }
 
-// decodePostingInto appends the positions of a fragment of either format
-// to dst. It reads every entry, so beyond what openFragment and next
-// reject it requires that no byte follows the last one.
+// decodePostingInto appends the positions of a fragment to dst. It reads
+// every entry, so beyond what openFragment and next reject it requires
+// that no byte follows the last one.
 func decodePostingInto(dst []Pos, v []byte) ([]Pos, error) {
-	if len(v) < postingHeaderSize {
-		return nil, fmt.Errorf("index: short posting value")
+	r, err := openFragment(v)
+	if err != nil {
+		return nil, err
 	}
-	switch v[0] {
-	case postingFormatSkip:
-		r, err := openFragment(v)
+	dst = slices.Grow(dst, r.n)
+	for r.i < r.n {
+		p, err := r.next()
 		if err != nil {
 			return nil, err
 		}
-		dst = slices.Grow(dst, r.n)
-		for r.i < r.n {
-			p, err := r.next()
-			if err != nil {
-				return nil, err
-			}
-			dst = append(dst, p)
-		}
-		if r.off != len(r.body) {
-			return nil, fmt.Errorf("index: %d trailing bytes in posting value", len(r.body)-r.off)
-		}
-		return dst, nil
-	case postingFormatDelta:
-		return decodePostingDelta(dst, v[1:])
-	default:
-		return nil, fmt.Errorf("index: unknown posting format 0x%02x", v[0])
+		dst = append(dst, p)
 	}
-}
-
-// decodePostingDelta reads the format earlier versions wrote: two varints
-// a position — a marker (0 = same document, else document delta + 1) and
-// an offset or offset gap — and no checkpoints.
-func decodePostingDelta(dst []Pos, v []byte) ([]Pos, error) {
-	n := int(binary.BigEndian.Uint16(v[0:2]))
-	v = v[2:]
-	var prev Pos
-	for i := 0; i < n; i++ {
-		marker, k := binary.Uvarint(v)
-		if k <= 0 {
-			return nil, fmt.Errorf("index: truncated posting delta at entry %d", i)
-		}
-		v = v[k:]
-		val, k := binary.Uvarint(v)
-		if k <= 0 {
-			return nil, fmt.Errorf("index: truncated posting offset at entry %d", i)
-		}
-		v = v[k:]
-		if marker == 0 {
-			if i == 0 {
-				return nil, fmt.Errorf("index: posting delta starts with same-doc marker")
-			}
-			prev.Off += uint32(val)
-		} else {
-			prev = Pos{Doc: prev.Doc + uint32(marker-1), Off: uint32(val)}
-		}
-		dst = append(dst, prev)
-	}
-	if len(v) != 0 {
-		return nil, fmt.Errorf("index: %d trailing bytes in posting value", len(v))
+	if r.off != len(r.body) {
+		return nil, fmt.Errorf("index: %d trailing bytes in posting value", len(r.body)-r.off)
 	}
 	return dst, nil
 }
@@ -414,7 +360,7 @@ func uninvertScore(ir uint64) float64 {
 	return math.Float64frombits(^ir)
 }
 
-// --- RPLs codec: key = token.ir.sid.doc.end, value = (score, length) ---
+// --- RPLs key: token.ir.sid.doc.end of a block's first entry ---
 
 // RPLEntry is one scored element in a relevance posting list.
 type RPLEntry struct {
@@ -444,32 +390,7 @@ func rplKey(term string, e RPLEntry) []byte {
 	return append(k, tail[:]...)
 }
 
-func rplValue(e RPLEntry) []byte {
-	var v [12]byte
-	binary.BigEndian.PutUint64(v[0:8], math.Float64bits(e.Score))
-	binary.BigEndian.PutUint32(v[8:12], e.Length)
-	return v[:]
-}
-
-func decodeRPL(k, v []byte) (string, RPLEntry, error) {
-	term, rest, err := splitTermPrefix(k)
-	if err != nil {
-		return "", RPLEntry{}, err
-	}
-	if len(rest) != 20 || len(v) != 12 {
-		return "", RPLEntry{}, fmt.Errorf("index: bad RPL row (%d,%d)", len(rest), len(v))
-	}
-	e := RPLEntry{
-		SID:    binary.BigEndian.Uint32(rest[8:12]),
-		Doc:    binary.BigEndian.Uint32(rest[12:16]),
-		End:    binary.BigEndian.Uint32(rest[16:20]),
-		Score:  math.Float64frombits(binary.BigEndian.Uint64(v[0:8])),
-		Length: binary.BigEndian.Uint32(v[8:12]),
-	}
-	return term, e, nil
-}
-
-// --- ERPLs codec: key = token.sid.doc.end, value = (score, length) ---
+// --- ERPLs key: token.sid.doc.end of a block's first entry ---
 
 func erplKey(term string, e RPLEntry) []byte {
 	k := termKey(term, 12)
@@ -488,22 +409,4 @@ func erplSIDPrefix(term string, sid uint32) []byte {
 func appendERPLSIDPrefix(dst []byte, term string, sid uint32) []byte {
 	dst = append(append(dst, term...), 0)
 	return binary.BigEndian.AppendUint32(dst, sid)
-}
-
-func decodeERPL(k, v []byte) (string, RPLEntry, error) {
-	term, rest, err := splitTermPrefix(k)
-	if err != nil {
-		return "", RPLEntry{}, err
-	}
-	if len(rest) != 12 || len(v) != 12 {
-		return "", RPLEntry{}, fmt.Errorf("index: bad ERPL row (%d,%d)", len(rest), len(v))
-	}
-	e := RPLEntry{
-		SID:    binary.BigEndian.Uint32(rest[0:4]),
-		Doc:    binary.BigEndian.Uint32(rest[4:8]),
-		End:    binary.BigEndian.Uint32(rest[8:12]),
-		Score:  math.Float64frombits(binary.BigEndian.Uint64(v[0:8])),
-		Length: binary.BigEndian.Uint32(v[8:12]),
-	}
-	return term, e, nil
 }

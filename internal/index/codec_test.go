@@ -51,16 +51,6 @@ func TestElementContainment(t *testing.T) {
 			t.Errorf("Contains(%v) = %v, want %v", tc.p, got, tc.want)
 		}
 	}
-	inner := Element{SID: 6, Doc: 3, End: 180, Length: 50}
-	if !e.ContainsElem(inner) {
-		t.Error("ContainsElem(inner) = false")
-	}
-	if e.ContainsElem(e) {
-		t.Error("element contains itself")
-	}
-	if inner.ContainsElem(e) {
-		t.Error("inner contains outer")
-	}
 }
 
 func TestDummyElement(t *testing.T) {
@@ -146,17 +136,23 @@ func TestQuickScoreInversionMonotone(t *testing.T) {
 	}
 }
 
+// TestRPLCodecRoundTrip: a one-entry RPL block decodes to its entry, and
+// its key is the entry's RPL key under the term's prefix.
 func TestRPLCodecRoundTrip(t *testing.T) {
 	e := RPLEntry{Score: 3.25, SID: 7, Doc: 42, End: 9999, Length: 1234}
-	term, got, err := decodeRPL(rplKey("xml", e), rplValue(e))
+	rows := EncodeRPLBlocks("xml", []RPLEntry{e})
+	if len(rows) != 1 || !bytes.Equal(rows[0].Key, rplKey("xml", e)) || !bytes.HasPrefix(rows[0].Key, termPrefix("xml")) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	got, err := decodeRPLBlock(rows[0].Value)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if term != "xml" || got != e {
-		t.Fatalf("decodeRPL = %q, %+v", term, got)
+	if len(got) != 1 || got[0] != e {
+		t.Fatalf("decodeRPLBlock = %+v", got)
 	}
-	if got.Element() != (Element{SID: 7, Doc: 42, End: 9999, Length: 1234}) {
-		t.Fatalf("Element() = %+v", got.Element())
+	if got[0].Element() != (Element{SID: 7, Doc: 42, End: 9999, Length: 1234}) {
+		t.Fatalf("Element() = %+v", got[0].Element())
 	}
 }
 
@@ -173,15 +169,6 @@ func TestRPLKeyOrderIsScoreDescending(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	var scores []float64
-	for _, k := range keys {
-		_, e, err := decodeRPL(k, rplValue(RPLEntry{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = e
-	}
-	// Decode scores from key order via value-free check: rebuild with the
-	// matching entries map.
 	for i := range keys {
 		for _, e := range entries {
 			if bytes.Equal(keys[i], rplKey("t", e)) {
@@ -197,14 +184,20 @@ func TestRPLKeyOrderIsScoreDescending(t *testing.T) {
 	}
 }
 
+// TestERPLCodecRoundTrip: a one-entry ERPL block decodes to its entry,
+// and its key is the entry's ERPL key under the (term, sid) prefix.
 func TestERPLCodecRoundTrip(t *testing.T) {
 	e := RPLEntry{Score: 1.5, SID: 3, Doc: 8, End: 77, Length: 60}
-	term, got, err := decodeERPL(erplKey("query", e), rplValue(e))
+	rows := EncodeERPLBlocks("query", []RPLEntry{e})
+	if len(rows) != 1 || !bytes.Equal(rows[0].Key, erplKey("query", e)) || !bytes.HasPrefix(rows[0].Key, erplSIDPrefix("query", 3)) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	got, err := decodeERPLBlockInto(nil, rows[0].Value)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if term != "query" || got != e {
-		t.Fatalf("decodeERPL = %q, %+v", term, got)
+	if len(got) != 1 || got[0] != e {
+		t.Fatalf("decodeERPLBlockInto = %+v", got)
 	}
 }
 
@@ -258,9 +251,6 @@ func TestTermPrefixFree(t *testing.T) {
 	}
 	if bytes.Compare(kAB, kABC) >= 0 {
 		t.Fatal("term order not preserved")
-	}
-	if _, _, err := splitTermPrefix([]byte("noterm")); err == nil {
-		t.Fatal("missing terminator accepted")
 	}
 }
 
@@ -358,7 +348,7 @@ func TestQuickPostingRoundTrip(t *testing.T) {
 		}
 		lo, hi := ps[int(a)%len(ps)], ps[int(b)%len(ps)]
 		hi.Off += uint32(b) % 2
-		tf, more, err := (&SpanProbe{}).spanInFragment(enc, lo, hi, nil)
+		tf, more, err := spanInFragment(enc, lo, hi, nil)
 		wantTF, wantMore := filterSpan(ps, lo, hi)
 		return err == nil && tf == wantTF && more == wantMore
 	}

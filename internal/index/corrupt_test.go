@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -22,25 +23,24 @@ func mustError(t *testing.T, decoder, name string, fn func() error) {
 	}
 }
 
-func validRPLRow(t *testing.T) ([]byte, []byte) {
+func validRPLRow(t *testing.T) []byte {
 	t.Helper()
-	rows := EncodeRPLBlocks("t", randEntries(10, 1))
-	return rows[0].Key, rows[0].Value
+	return EncodeRPLBlocks("t", randEntries(10, 1))[0].Value
 }
 
-func validERPLRow(t *testing.T) ([]byte, []byte) {
+func validERPLRow(t *testing.T) []byte {
 	t.Helper()
 	rows := EncodeERPLBlocks("t", []RPLEntry{
 		{Score: 2, SID: 1, Doc: 3, End: 40, Length: 7},
 		{Score: 1, SID: 1, Doc: 3, End: 90, Length: 9},
 		{Score: 5, SID: 1, Doc: 4, End: 11, Length: 2},
 	})
-	return rows[0].Key, rows[0].Value
+	return rows[0].Value
 }
 
 func TestDecodersRejectCorruptInput(t *testing.T) {
-	rplKey, rplVal := validRPLRow(t)
-	erplKey, erplVal := validERPLRow(t)
+	rplVal := validRPLRow(t)
+	erplVal := validERPLRow(t)
 
 	truncations := func(v []byte) map[string][]byte {
 		out := map[string][]byte{
@@ -66,11 +66,6 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 	}
 	mustError(t, "decodePostingInto", "bad-format-byte", func() error {
 		_, err := decodePostingInto(nil, []byte{0x7f, 0, 1})
-		return err
-	})
-	mustError(t, "decodePostingInto", "count-overruns-payload", func() error {
-		// Delta header claims 1000 positions, payload holds none.
-		_, err := decodePostingInto(nil, []byte{0x02, 0x03, 0xe8})
 		return err
 	})
 
@@ -109,7 +104,7 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 			return err
 		})
 		mustError(t, "spanInFragment", name, func() error {
-			_, _, err := (&SpanProbe{}).spanInFragment(v, Pos{}, MaxPos, nil)
+			_, _, err := spanInFragment(v, Pos{}, MaxPos, nil)
 			return err
 		})
 	}
@@ -122,61 +117,36 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		return err
 	})
 
-	// v1 RPL / ERPL rows: short keys and short values.
-	v1rpl := rplValue(RPLEntry{Score: 1, SID: 1, Doc: 2, End: 3, Length: 4})
-	for _, tc := range []struct {
-		name string
-		k, v []byte
-	}{
-		{"short-key", []byte("t\x00abc"), v1rpl},
-		{"no-nul-key", []byte("termwithoutnul"), v1rpl},
-		{"short-value", rplKeyFor("t"), v1rpl[:7]},
-	} {
-		tc := tc
-		mustError(t, "decodeRPL", tc.name, func() error {
-			_, _, err := decodeRPL(tc.k, tc.v)
-			return err
-		})
-		mustError(t, "decodeERPL", tc.name, func() error {
-			_, _, err := decodeERPL(erplKeyFor("t"), tc.v[:7])
-			return err
-		})
-	}
-
 	// Block rows: truncations of valid encodings, plus targeted headers.
 	for name, v := range truncations(rplVal) {
 		v := v
-		mustError(t, "decodeRPLRow", name, func() error {
-			_, err := decodeRPLRow(rplKey, v)
+		mustError(t, "decodeRPLBlock", name, func() error {
+			_, err := decodeRPLBlock(v)
 			return err
 		})
 	}
 	for name, v := range truncations(erplVal) {
 		v := v
-		mustError(t, "decodeERPLRowInto", name, func() error {
-			_, err := decodeERPLRowInto(nil, erplKey, v)
+		mustError(t, "decodeERPLBlockInto", name, func() error {
+			_, err := decodeERPLBlockInto(nil, v)
 			return err
 		})
 	}
-	// erplRowStats reads only the header, so it tolerates payload-only
-	// truncation; it must still reject a cut inside the header itself.
+	// erplBlockBounds and rplRowCount read only the header, so they
+	// tolerate payload-only truncation; they must still reject a cut inside
+	// the header itself.
 	for _, cut := range []int{0, 1, 2} {
-		cut := cut
-		mustError(t, "erplRowStats", "header-cut", func() error {
-			_, _, _, err := erplRowStats(erplKey, erplVal[:cut])
+		mustError(t, "erplBlockBounds", "header-cut", func() error {
+			_, _, _, err := erplBlockBounds(erplVal[:cut])
 			return err
 		})
 	}
-	// Block rows are self-contained in the value; a short key only matters
-	// on the v1 path (12-byte values).
-	mustError(t, "decodeRPLRow", "short-key-v1", func() error {
-		_, err := decodeRPLRow([]byte("t\x00ab"), v1rpl)
-		return err
-	})
-	mustError(t, "decodeERPLRowInto", "short-key-v1", func() error {
-		_, err := decodeERPLRowInto(nil, []byte("t\x00ab"), v1rpl)
-		return err
-	})
+	for _, cut := range []int{0, 1} {
+		mustError(t, "rplRowCount", "header-cut", func() error {
+			_, err := rplRowCount(rplVal[:cut])
+			return err
+		})
+	}
 	mustError(t, "decodeRPLBlock", "wrong-format-byte", func() error {
 		bad := append([]byte(nil), rplVal...)
 		bad[0] = 0x01
@@ -192,14 +162,106 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		_, err := decodeERPLBlockInto(nil, []byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 1})
 		return err
 	})
-	mustError(t, "rplBlockMaxScore", "truncated-header", func() error {
-		_, err := rplBlockMaxScore([]byte{0x02, 0x05, 0x00})
-		return err
-	})
 	mustError(t, "erplBlockBounds", "truncated-header", func() error {
 		_, _, _, err := erplBlockBounds([]byte{0x02, 0x03})
 		return err
 	})
+
+	// Retired formats, through the readers a query or a commit runs: a
+	// list value of the row-per-entry format (12 bytes: score bits and
+	// length), a posting fragment of the 0x02 format, and two block runs
+	// written under one (term, sid) whose blocks overlap. Old rows must
+	// ask for a rebuild.
+	oldRow := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, math.Float64bits(1.5)), 7)
+	oldList := func(t *testing.T) *Store {
+		st := openEmptyStore(t)
+		e := RPLEntry{Score: 1.5, SID: 1, Doc: 2, End: 3, Length: 7}
+		if err := st.RPLs.Put(rplKey("t", e), oldRow); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.ERPLs.Put(erplKey("t", e), oldRow); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	oldPosting := func(t *testing.T) *Store {
+		st := openEmptyStore(t)
+		ps := []Pos{{Doc: 1, Off: 2}, {Doc: 1, Off: 9}, {Doc: 3, Off: 4}}
+		if err := st.Postings.Put(postingKey("t", ps[0]), oldPostingValue(ps)); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	overlapping := func(t *testing.T) *Store {
+		st := openEmptyStore(t)
+		var even, odd []RPLEntry
+		for doc := uint32(0); doc < 20; doc++ {
+			e := RPLEntry{Score: 1, SID: 1, Doc: doc, End: 5, Length: 2}
+			if doc%2 == 0 {
+				even = append(even, e)
+			} else {
+				odd = append(odd, e)
+			}
+		}
+		writeBlocks(t, st, KindERPL, "t", even)
+		writeBlocks(t, st, KindERPL, "t", odd)
+		return st
+	}
+	drain := func(next func() (RPLEntry, bool, error)) error {
+		for {
+			if _, ok, err := next(); err != nil || !ok {
+				return err
+			}
+		}
+	}
+	termERPL := func(st *Store) error {
+		m, err := NewTermERPL(st, "t", []uint32{1})
+		if err != nil {
+			return err
+		}
+		return drain(m.Next)
+	}
+	for _, tc := range []struct {
+		reader, input string
+		store         func(*testing.T) *Store
+		read          func(*Store) error
+		rebuild       bool
+	}{
+		{"RPLIterator", "old-list-row", oldList, func(st *Store) error { return drain(NewRPLIterator(st, "t").Next) }, true},
+		{"ERPLIterator", "old-list-row", oldList, func(st *Store) error { return drain(NewERPLIterator(st, "t", 1).Next) }, true},
+		{"ERPLIterator.SkipTo", "old-list-row", oldList, func(st *Store) error {
+			_, err := NewERPLIterator(st, "t", 1).SkipTo(9, 0)
+			return err
+		}, true},
+		{"TermERPL", "old-list-row", oldList, termERPL, true},
+		{"DropAllLists", "old-list-row", oldList, func(st *Store) error {
+			_, err := DropAllLists(st)
+			return err
+		}, true},
+		{"PostingIterator", "old-posting", oldPosting, func(st *Store) error {
+			_, err := NewPostingIterator(st, "t").NextPosition()
+			return err
+		}, true},
+		{"SpanProbe", "old-posting", oldPosting, func(st *Store) error {
+			_, err := NewSpanProbe(st, "t").Count(Element{Doc: 1, End: 10, Length: 9})
+			return err
+		}, true},
+		{"ERPLIterator", "overlapping-runs", overlapping, func(st *Store) error { return drain(NewERPLIterator(st, "t", 1).Next) }, false},
+		{"ERPLIterator.SkipTo", "overlapping-runs", overlapping, func(st *Store) error {
+			_, err := NewERPLIterator(st, "t", 1).SkipTo(100, 0)
+			return err
+		}, false},
+		{"TermERPL", "overlapping-runs", overlapping, termERPL, false},
+	} {
+		st := tc.store(t)
+		mustError(t, tc.reader, tc.input, func() error {
+			err := tc.read(st)
+			if err != nil && tc.rebuild && !isOldFormat(err) {
+				t.Errorf("%s/%s: error %q does not ask for a rebuild", tc.reader, tc.input, err)
+			}
+			return err
+		})
+	}
 
 	// Elements table.
 	mustError(t, "decodeElementsKey", "short", func() error {
@@ -219,10 +281,10 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("decodeRPLRow: panic on flipped byte %d: %v", i, r)
+					t.Errorf("decodeRPLBlock: panic on flipped byte %d: %v", i, r)
 				}
 			}()
-			_, _ = decodeRPLRow(rplKey, bad)
+			_, _ = decodeRPLBlock(bad)
 		}()
 	}
 	for i := 0; i < len(erplVal); i++ {
@@ -231,22 +293,12 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("decodeERPLRowInto: panic on flipped byte %d: %v", i, r)
+					t.Errorf("decodeERPLBlockInto: panic on flipped byte %d: %v", i, r)
 				}
 			}()
-			_, _ = decodeERPLRowInto(nil, erplKey, bad)
+			_, _ = decodeERPLBlockInto(nil, bad)
 		}()
 	}
-}
-
-// rplKeyFor / erplKeyFor build minimal well-formed keys for decoders whose
-// error under test lives in the value.
-func rplKeyFor(term string) []byte {
-	return rplKey(term, RPLEntry{Score: 1, SID: 1, Doc: 1, End: 1})
-}
-
-func erplKeyFor(term string) []byte {
-	return erplKey(term, RPLEntry{SID: 1, Doc: 1, End: 1})
 }
 
 func decodeElementsKeyWrap(k []byte) (uint32, uint32, uint32, struct{}, error) {

@@ -1,7 +1,7 @@
 package index
 
 import (
-	"encoding/binary"
+	"slices"
 
 	"trex/internal/storage"
 )
@@ -12,10 +12,10 @@ import (
 // for measurement but not selected by the plan, and Materialize uses it
 // to clear a stale list before rebuilding it.
 //
-// ERPL rows — v1 and block alike — hold a single sid, recoverable from
-// the key, so they are deleted whole. RPL blocks may mix sids (score
-// order interleaves them); a block containing the target sid is deleted
-// and its surviving entries are re-encoded into fresh blocks.
+// ERPL blocks hold a single sid, recoverable from the key, so they are
+// deleted whole. RPL blocks may mix sids (score order interleaves them);
+// a block containing the target sid is deleted and its surviving entries
+// are re-encoded into fresh blocks.
 func (s *Store) DropList(kind ListKind, term string, sid uint32) (int, error) {
 	if err := s.noteListChange(); err != nil {
 		return 0, err
@@ -43,7 +43,7 @@ func (s *Store) dropERPL(term string, sid uint32) (int, error) {
 		if len(cur.Key()) != len(prefix)+8 {
 			continue
 		}
-		n, _, _, err := erplRowStats(cur.Key(), cur.Value())
+		n, _, _, err := erplBlockBounds(cur.Value())
 		if err != nil {
 			return 0, err
 		}
@@ -76,29 +76,14 @@ func (s *Store) dropRPL(term string, sid uint32) (int, error) {
 		return 0, err
 	}
 	for ; ok; ok, err = cur.NextPrefix(prefix) {
-		rest := cur.Key()[len(prefix):]
-		if len(rest) != 20 {
+		if len(cur.Key()) != len(prefix)+20 {
 			continue
 		}
-		if len(cur.Value()) == rplV1ValueLen {
-			if binary.BigEndian.Uint32(rest[8:12]) == sid {
-				dropped++
-				keys = append(keys, append([]byte(nil), cur.Key()...))
-			}
-			continue
-		}
-		entries, err := decodeRPLRow(cur.Key(), cur.Value())
+		entries, err := decodeRPLBlock(cur.Value())
 		if err != nil {
 			return 0, err
 		}
-		hit := false
-		for _, e := range entries {
-			if e.SID == sid {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if !slices.ContainsFunc(entries, func(e RPLEntry) bool { return e.SID == sid }) {
 			continue
 		}
 		keys = append(keys, append([]byte(nil), cur.Key()...))
@@ -145,14 +130,14 @@ func DropAllLists(s *Store) (int, error) {
 	total := 0
 	for _, t := range []struct {
 		tree    *storage.Tree
-		entries func(k, v []byte) (int, error)
+		entries func(v []byte) (int, error)
 	}{
-		{s.RPLs, func(_, v []byte) (int, error) { return rplRowCount(v) }},
-		{s.ERPLs, func(k, v []byte) (int, error) {
-			n, _, _, err := erplRowStats(k, v)
+		{s.RPLs, rplRowCount},
+		{s.ERPLs, func(v []byte) (int, error) {
+			n, _, _, err := erplBlockBounds(v)
 			return n, err
 		}},
-		{s.Catalog, func(_, _ []byte) (int, error) { return 0, nil }},
+		{s.Catalog, func([]byte) (int, error) { return 0, nil }},
 	} {
 		// Collect the keys first: deleting while iterating would
 		// invalidate the cursor.
@@ -160,7 +145,7 @@ func DropAllLists(s *Store) (int, error) {
 		cur := t.tree.Cursor()
 		ok, err := cur.First()
 		for ; ok; ok, err = cur.Next() {
-			n, err := t.entries(cur.Key(), cur.Value())
+			n, err := t.entries(cur.Value())
 			if err != nil {
 				return total, err
 			}

@@ -29,14 +29,14 @@ func FuzzDecodePostingValue(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint32(0), uint32(0))
 	f.Add(postingValue([]Pos{{Doc: 1, Off: 2}, {Doc: 1, Off: 7}}), uint32(1), uint32(2), uint32(6))
 	f.Add(postingValue(sweepPositions(100)), uint32(5), uint32(0), uint32(40000))
-	f.Add(legacyPostingValue(sweepPositions(40)), uint32(4), uint32(9), uint32(300))
-	f.Add([]byte{0x02, 0x03, 0xe8}, uint32(0), uint32(0), uint32(1))
 	f.Add([]byte{0x03, 0x00, 0x21, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff}, uint32(0), uint32(0), uint32(1))
+	f.Add(postingValue(sweepPositions(maxPostingsPerFragment)), uint32(40), uint32(0), uint32(1<<20))
+	f.Add(postingValue([]Pos{{Doc: 1 << 30, Off: 1 << 31}, MaxPos}), uint32(1<<30), uint32(1<<31-1), uint32(2))
 	f.Fuzz(func(t *testing.T, v []byte, doc, off, length uint32) {
 		lo := Pos{Doc: doc, Off: off}
 		hi := Pos{Doc: doc, Off: off + length}
 		ps, err := decodePostingInto(nil, v)
-		tf, more, cerr := (&SpanProbe{}).spanInFragment(v, lo, hi, nil)
+		tf, more, cerr := spanInFragment(v, lo, hi, nil)
 		if err != nil {
 			return
 		}
@@ -51,13 +51,13 @@ func FuzzDecodePostingValue(f *testing.F) {
 func FuzzDecodeRPLRow(f *testing.F) {
 	rows := EncodeRPLBlocks("t", randEntries(20, 3))
 	for _, r := range rows {
-		f.Add(r.Key, r.Value)
+		f.Add(r.Value)
 	}
-	f.Add([]byte("t\x00"), []byte{0x02, 0x80, 0x80, 0x80, 0x80, 0x01})
-	f.Add([]byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, k, v []byte) {
-		_, _ = decodeRPLRow(k, v)  // must not panic
-		_, _ = rplBlockMaxScore(v) // header reader, same contract
+	f.Add([]byte{0x02, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, v []byte) {
+		_, _ = decodeRPLBlock(v) // must not panic
+		_, _ = rplRowCount(v)    // header reader, same contract
 	})
 }
 
@@ -68,17 +68,17 @@ func FuzzDecodeRPLRow(f *testing.F) {
 func FuzzDecodeERPLRow(f *testing.F) {
 	rows := EncodeERPLBlocks("t", randEntries(20, 5))
 	for _, r := range rows {
-		f.Add(r.Key, r.Value)
+		f.Add(r.Value)
 	}
-	f.Add([]byte("t\x00"), []byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte("0"), append([]byte("\x02\t00000\xff\xff"), bytes.Repeat([]byte("0"), 95)...)) // NaN scores
+	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{})
+	f.Add(append([]byte("\x02\t00000\xff\xff"), bytes.Repeat([]byte("0"), 95)...)) // NaN scores
 	held := RPLEntry{Score: 1, SID: 2, Doc: 3, End: 4, Length: 5}
 	buf := make([]RPLEntry, 0, 4)
-	f.Fuzz(func(t *testing.T, k, v []byte) {
-		_, _, _, _ = erplRowStats(k, v) // header reader: must not panic
-		want, wantErr := referenceDecodeERPLRow(k, v)
-		got, err := decodeERPLRowInto(append(buf[:0], held), k, v)
+	f.Fuzz(func(t *testing.T, v []byte) {
+		_, _, _, _ = erplBlockBounds(v) // header reader: must not panic
+		want, wantErr := referenceDecodeERPLRow(v)
+		got, err := decodeERPLBlockInto(append(buf[:0], held), v)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("reusing decoder: %v, allocating decoder: %v", err, wantErr)
 		}
@@ -95,16 +95,9 @@ func FuzzDecodeERPLRow(f *testing.F) {
 	})
 }
 
-// referenceDecodeERPLRow is the ERPL row decoder as it was while every
+// referenceDecodeERPLRow is the ERPL block decoder as it was while every
 // block was decoded into a slice of its own.
-func referenceDecodeERPLRow(k, v []byte) ([]RPLEntry, error) {
-	if len(v) == rplV1ValueLen {
-		_, e, err := decodeERPL(k, v)
-		if err != nil {
-			return nil, err
-		}
-		return []RPLEntry{e}, nil
-	}
+func referenceDecodeERPLRow(v []byte) ([]RPLEntry, error) {
 	if len(v) < 1 || v[0] != listFormatBlock {
 		return nil, fmt.Errorf("index: bad ERPL block format")
 	}
@@ -261,7 +254,7 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		SortRPLEntriesScoreOrder(want)
 		var got []RPLEntry
 		for _, r := range EncodeRPLBlocks("t", append([]RPLEntry(nil), entries...)) {
-			dec, err := decodeRPLRow(r.Key, r.Value)
+			dec, err := decodeRPLBlock(r.Value)
 			if err != nil {
 				t.Fatalf("rpl decode: %v", err)
 			}
@@ -277,12 +270,12 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		got = got[:0]
 		var reused []RPLEntry
 		for _, r := range EncodeERPLBlocks("t", append([]RPLEntry(nil), entries...)) {
-			dec, err := referenceDecodeERPLRow(r.Key, r.Value)
+			dec, err := referenceDecodeERPLRow(r.Value)
 			if err != nil {
 				t.Fatalf("erpl decode: %v", err)
 			}
 			got = append(got, dec...)
-			if reused, err = decodeERPLRowInto(reused, r.Key, r.Value); err != nil {
+			if reused, err = decodeERPLBlockInto(reused, r.Value); err != nil {
 				t.Fatalf("erpl decode into the shared buffer: %v", err)
 			}
 		}

@@ -150,9 +150,9 @@ type listCursor interface {
 // RPLIterator walks a term's relevance posting list in descending score
 // order — the sorted access TA performs.
 //
-// Rows may be v1 (one entry) or v2 blocks (up to BlockTargetEntries), and
-// rows written by different materialization runs may interleave in key
-// space, so the iterator merges a buffer of decoded-but-unreturned
+// A term's blocks written by different runs interleave in key space —
+// Materialize runs over different sid sets, and the survivors dropRPL
+// re-encodes — so the iterator merges a buffer of decoded-but-unreturned
 // entries against the cursor stream: an entry is only emitted once the
 // next undecoded row is known to start at or after it. The lookahead is
 // one row; each row is decoded exactly once.
@@ -237,19 +237,19 @@ func (it *RPLIterator) fill() error {
 		if it.pi < len(it.pending) && !rplKeyTailLess(rest, it.pending[it.pi]) {
 			return nil // buffered minimum precedes the next row: safe to emit
 		}
-		entries, err := decodeRPLRow(it.cur.Key(), it.cur.Value())
+		entries, err := decodeRPLBlock(it.cur.Value())
 		if err != nil {
 			return err
 		}
 		it.curValid = false
-		it.pending, it.pi = mergeRuns(it.pending, it.pi, entries, compareRPLEntries)
+		it.pending, it.pi = mergeRuns(it.pending, it.pi, entries)
 	}
 }
 
 // mergeRuns merges the unconsumed tail of a sorted pending buffer with a
 // freshly decoded sorted run. The common case — empty buffer — reuses the
 // decoded slice outright.
-func mergeRuns(pending []RPLEntry, pi int, es []RPLEntry, compare func(a, b RPLEntry) int) ([]RPLEntry, int) {
+func mergeRuns(pending []RPLEntry, pi int, es []RPLEntry) ([]RPLEntry, int) {
 	if pi >= len(pending) {
 		return es, 0
 	}
@@ -257,7 +257,7 @@ func mergeRuns(pending []RPLEntry, pi int, es []RPLEntry, compare func(a, b RPLE
 	merged := make([]RPLEntry, 0, len(rem)+len(es))
 	i, j := 0, 0
 	for i < len(rem) && j < len(es) {
-		if compare(es[j], rem[i]) < 0 {
+		if compareRPLEntries(es[j], rem[i]) < 0 {
 			merged = append(merged, es[j])
 			j++
 		} else {
@@ -303,30 +303,22 @@ func (it *RPLIterator) BlockMaxScore() (float64, bool, error) {
 }
 
 // ERPLIterator walks the (term, sid) segment of an ERPL in position
-// order, with the same one-row-lookahead merge as RPLIterator (v1 rows
-// and v2 blocks may interleave).
-//
-// The iterator owns its entry buffer: each row is decoded into it in
-// place of the block it replaces, so a scan allocates only while the
-// buffer grows to block size. Whether the lookahead row can interleave
-// with the buffered entries is decided once per row, not once per entry:
-// fill compares the lookahead row's key with the buffer's last entry and
-// records in safe how far Next, Peek and DrainBelow may read without
-// coming back.
+// order. One Materialize run writes a whole (term, sid) segment, so its
+// blocks follow each other without overlapping and the iterator is a block
+// walker: it decodes a row into the buffer it owns, returns the row's
+// entries, and steps the cursor only once the buffer is spent. A row that
+// does not start after the entries before it is reported as corrupt, not
+// merged. A scan allocates only while the buffer grows to block size.
 type ERPLIterator struct {
-	prefix   []byte
-	cur      listCursor
-	started  bool
-	curValid bool
-	done     bool
-	pending  []RPLEntry
-	pi       int
-	// safe bounds the buffered entries known to precede every unread row:
-	// pending[pi:safe] can be returned without consulting the cursor.
-	safe int
-	// scratch receives a row that has to be merged into a non-empty buffer
-	// (rows written by different runs interleaving).
-	scratch []RPLEntry
+	prefix  []byte
+	cur     listCursor
+	started bool
+	done    bool
+	buf     []RPLEntry // the current row's entries; buf[pi:] are unreturned
+	pi      int
+	// floor is the lowest packed (doc, end) the next row may start at: one
+	// past the last entry of the rows before it, decoded or skipped.
+	floor uint64
 	// RowsRead counts storage rows fetched.
 	RowsRead int
 }
@@ -336,99 +328,63 @@ func NewERPLIterator(s *Store, term string, sid uint32) *ERPLIterator {
 	return &ERPLIterator{prefix: erplSIDPrefix(term, sid), cur: s.erplCursor()}
 }
 
-// erplKeyTailLess reports whether the 8-byte (doc, end) key tail orders
-// before entry p.
-func erplKeyTailLess(rest []byte, p RPLEntry) bool {
-	doc := beUint32(rest[0:4])
-	if doc != p.Doc {
-		return doc < p.Doc
+// step puts the segment's next row under the cursor and checks that it
+// starts at or after floor; ok is false at the end of the segment.
+func (it *ERPLIterator) step() (ok bool, err error) {
+	if it.done {
+		return false, nil
 	}
-	return beUint32(rest[4:8]) < p.End
-}
-
-// lookahead puts the next unread row under the cursor and returns its
-// (doc, end) key tail; ok is false once the segment is exhausted.
-func (it *ERPLIterator) lookahead() (rest []byte, ok bool, err error) {
-	if !it.curValid {
-		if it.done {
-			return nil, false, nil
-		}
-		if !it.started {
-			it.started = true
-			ok, err = it.cur.SeekPrefix(it.prefix)
-		} else {
-			ok, err = it.cur.NextPrefix(it.prefix)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			it.done = true
-			return nil, false, nil
-		}
-		it.curValid = true
-		it.RowsRead++
+	if !it.started {
+		it.started = true
+		ok, err = it.cur.SeekPrefix(it.prefix)
+	} else {
+		ok, err = it.cur.NextPrefix(it.prefix)
 	}
-	rest = it.cur.Key()[len(it.prefix):]
+	if err != nil {
+		return false, err
+	}
+	if !ok {
+		it.done = true
+		return false, nil
+	}
+	it.RowsRead++
+	rest := it.cur.Key()[len(it.prefix):]
 	if len(rest) != 8 {
-		return nil, false, fmt.Errorf("index: bad ERPL key tail length %d", len(rest))
+		return false, fmt.Errorf("index: bad ERPL key tail length %d", len(rest))
 	}
-	return rest, true, nil
+	if start := beUint64(rest); start < it.floor {
+		return false, fmt.Errorf("index: ERPL row at (%d,%d) starts inside the rows before it: the list was not written by one run",
+			uint32(start>>32), uint32(start))
+	}
+	return true, nil
 }
 
-// fill establishes the emit invariant — either the iterator is exhausted
-// (pi == safe == len(pending)), or pending[pi:safe] are the globally next
-// entries: no unread row can start before them.
-func (it *ERPLIterator) fill() error {
-	for {
-		if it.pi >= len(it.pending) {
-			it.pending = it.pending[:0]
-			it.pi = 0
-		}
-		rest, ok, err := it.lookahead()
-		if err != nil {
-			return err
-		}
-		n := len(it.pending)
-		switch {
-		case !ok || (it.pi < n && !erplKeyTailLess(rest, it.pending[n-1])):
-			it.safe = n // nothing unread starts inside the buffer
-			return nil
-		case it.pi < n && !erplKeyTailLess(rest, it.pending[it.pi]):
-			it.safe = it.pi + 1 // the row starts inside the buffer, after its head
-			return nil
-		}
-		if err := it.decodeRow(); err != nil {
-			return err
-		}
-	}
-}
-
-// decodeRow decodes the row under the cursor into the buffer: in place
-// when every buffered entry has been returned, merged with the unreturned
-// tail otherwise. What the buffer then holds has yet to pass fill's check.
-func (it *ERPLIterator) decodeRow() error {
-	it.curValid = false
+// load decodes the row under the cursor into the buffer.
+func (it *ERPLIterator) load() error {
 	var err error
-	if it.pi >= len(it.pending) {
-		it.pi = 0
-		it.pending, err = decodeERPLRowInto(it.pending[:0], it.cur.Key(), it.cur.Value())
-	} else if it.scratch, err = decodeERPLRowInto(it.scratch[:0], it.cur.Key(), it.cur.Value()); err == nil {
-		it.pending, it.pi = mergeRuns(it.pending, it.pi, it.scratch, compareERPLEntries)
+	it.buf, err = decodeERPLBlockInto(it.buf[:0], it.cur.Value())
+	it.pi = 0
+	if err != nil {
+		it.buf = it.buf[:0]
+		return err
 	}
-	it.safe = it.pi
-	return err
+	it.floor = it.buf[len(it.buf)-1].docEnd() + 1
+	return nil
 }
 
-// ready reports whether pending[pi] may be returned, filling the buffer
-// when the entries known to be safe have run out; false without an error
-// is the end of the segment.
+// ready reports whether buf[pi] may be returned, loading the next row once
+// the buffer is spent; false without an error is the end of the segment.
 func (it *ERPLIterator) ready() (bool, error) {
-	if it.pi < it.safe {
+	if it.pi < len(it.buf) {
 		return true, nil
 	}
-	err := it.fill()
-	return err == nil && it.pi < it.safe, err
+	if ok, err := it.step(); !ok {
+		return false, err
+	}
+	if err := it.load(); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // Peek returns the next entry without consuming it.
@@ -436,7 +392,7 @@ func (it *ERPLIterator) Peek() (RPLEntry, bool, error) {
 	if ok, err := it.ready(); !ok {
 		return RPLEntry{}, false, err
 	}
-	return it.pending[it.pi], true, nil
+	return it.buf[it.pi], true, nil
 }
 
 // Next returns the next entry in (doc, endpos) order; ok is false at end.
@@ -444,7 +400,7 @@ func (it *ERPLIterator) Next() (RPLEntry, bool, error) {
 	if ok, err := it.ready(); !ok {
 		return RPLEntry{}, false, err
 	}
-	e := it.pending[it.pi]
+	e := it.buf[it.pi]
 	it.pi++
 	return e, true, nil
 }
@@ -454,17 +410,18 @@ func (it *ERPLIterator) Next() (RPLEntry, bool, error) {
 // already-decoded block cost neither a cursor step nor a heap operation —
 // the bulk path Merge's frontier skipping is built on.
 func (it *ERPLIterator) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry, error) {
+	bound := uint64(doc)<<32 | uint64(end)
 	for {
 		if ok, err := it.ready(); !ok {
 			return out, err
 		}
 		i := it.pi
-		for i < it.safe && CompareDocEnd(it.pending[i].Doc, it.pending[i].End, doc, end) < 0 {
+		for i < len(it.buf) && it.buf[i].docEnd() < bound {
 			i++
 		}
-		out = append(out, it.pending[it.pi:i]...)
+		out = append(out, it.buf[it.pi:i]...)
 		it.pi = i
-		if i < it.safe {
+		if i < len(it.buf) {
 			return out, nil
 		}
 	}
@@ -473,43 +430,34 @@ func (it *ERPLIterator) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry,
 // SkipTo fast-forwards the iterator so the next entry is the first with
 // (doc, end) at or after the target, without decoding fully skipped
 // blocks: buffered entries are dropped in place, and when the buffer
-// empties the remaining rows are pruned by their header bounds (the max
-// (doc, end) an ERPL block advertises). It returns the number of entries
-// skipped without being decoded.
+// empties each further row whose header bound (the max (doc, end) an ERPL
+// block advertises) lies below the target is stepped over undecoded. It
+// returns the number of entries skipped without being decoded.
 func (it *ERPLIterator) SkipTo(doc, end uint32) (int, error) {
+	target := uint64(doc)<<32 | uint64(end)
 	skipped := 0
-	target := RPLEntry{Doc: doc, End: end}
 	for {
-		// Drop already-decoded entries below the target; what remains has
-		// to pass fill's check against the lookahead row again.
-		for it.pi < len(it.pending) &&
-			CompareDocEnd(it.pending[it.pi].Doc, it.pending[it.pi].End, doc, end) < 0 {
+		for it.pi < len(it.buf) && it.buf[it.pi].docEnd() < target {
 			it.pi++
 		}
-		it.safe = it.pi
-		rest, ok, err := it.lookahead()
-		if err != nil || !ok {
-			return skipped, err
-		}
-		if !erplKeyTailLess(rest, target) {
-			// This row (and every later one) starts at or after the
-			// target; Next's fill takes over from here.
+		if it.pi < len(it.buf) {
 			return skipped, nil
 		}
-		// The row starts below the target: its header bounds decide
-		// whether it can be skipped whole.
-		n, maxDoc, maxEnd, err := erplRowStats(it.cur.Key(), it.cur.Value())
+		if ok, err := it.step(); !ok {
+			return skipped, err
+		}
+		n, maxDoc, maxEnd, err := erplBlockBounds(it.cur.Value())
 		if err != nil {
 			return skipped, err
 		}
-		if CompareDocEnd(maxDoc, maxEnd, doc, end) < 0 {
+		if last := uint64(maxDoc)<<32 | uint64(maxEnd); last < target {
 			skipped += n
-			it.curValid = false
+			it.floor = last + 1
 			continue
 		}
-		// The row straddles the target: decode it and let the drop loop
+		// The row reaches the target: decode it and let the drop loop
 		// discard its leading entries.
-		if err := it.decodeRow(); err != nil {
+		if err := it.load(); err != nil {
 			return skipped, err
 		}
 	}

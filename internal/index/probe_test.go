@@ -4,15 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
-// legacyPostingValue is the postingFormatDelta encoder earlier versions
-// shipped, kept here so the tests can plant fragments an old database
-// would hold: a marker varint (0 = same document, else document delta + 1)
-// and an offset or offset-gap varint per position.
-func legacyPostingValue(positions []Pos) []byte {
-	out := []byte{postingFormatDelta, 0, 0}
+// oldPostingValue encodes positions in the posting format earlier versions
+// wrote — format byte 0x02, then a marker varint (0 = same document, else
+// document delta + 1) and an offset or offset-gap varint per position — so
+// the tests can plant the fragments an old database holds. No reader
+// accepts them.
+func oldPostingValue(positions []Pos) []byte {
+	out := []byte{0x02, 0, 0}
 	binary.BigEndian.PutUint16(out[1:3], uint16(len(positions)))
 	var prev Pos
 	for i, p := range positions {
@@ -77,6 +79,39 @@ func modelSpan(ps []Pos, e Element) []uint32 {
 	return out
 }
 
+// reachesOld reports whether a probe of e over ps, planted as fragments of
+// fragSize entries, reads a fragment for which old is true: the probe
+// starts at the fragment covering the span start (else the first) and
+// moves on while every position it has seen lies below the span end.
+func reachesOld(ps []Pos, fragSize int, old func(f int) bool, e Element) bool {
+	if e.IsDummy() || e.Length == 0 {
+		return false
+	}
+	lo := Pos{Doc: e.Doc, Off: e.Start() + 1}
+	hi := Pos{Doc: e.Doc, Off: e.End}
+	frags := (len(ps) + fragSize - 1) / fragSize
+	f := 0
+	for g := 1; g < frags; g++ {
+		if !lo.Less(ps[g*fragSize]) {
+			f = g
+		}
+	}
+	for ; f < frags; f++ {
+		if old(f) {
+			return true
+		}
+		if last := ps[min((f+1)*fragSize, len(ps))-1]; !last.Less(hi) {
+			return false
+		}
+	}
+	return false
+}
+
+// isOldFormat reports whether err is the rejection of an old-format value.
+func isOldFormat(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "predates the current format")
+}
+
 // filterSpan is spanInFragment's model over decoded positions: how many
 // lie in [lo, hi), and whether all of them are below hi.
 func filterSpan(ps []Pos, lo, hi Pos) (tf int, more bool) {
@@ -94,20 +129,24 @@ func filterSpan(ps []Pos, lo, hi Pos) (tf int, more bool) {
 // TestSpanProbeBoundarySweep checks the probe against the model for spans
 // that start and end on, just before and just after every kind of
 // boundary the format has, at every fragment size around a checkpoint
-// interval, in the current format, the legacy one and a mix.
+// interval. "legacy" lists hold only old-format fragments and "mixed"
+// ones alternate them with current ones: there every read that reaches an
+// old fragment must fail with the rebuild error, and every other read
+// must still match the model.
 func TestSpanProbeBoundarySweep(t *testing.T) {
-	encoders := map[string]func(int) func([]Pos) []byte{
-		"skip":   func(int) func([]Pos) []byte { return postingValue },
-		"legacy": func(int) func([]Pos) []byte { return legacyPostingValue },
-		"mixed": func(f int) func([]Pos) []byte {
-			if f%2 == 0 {
-				return legacyPostingValue
-			}
-			return postingValue
-		},
+	olds := map[string]func(f int) bool{
+		"skip":   func(int) bool { return false },
+		"legacy": func(int) bool { return true },
+		"mixed":  func(f int) bool { return f%2 == 0 },
 	}
 	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 255, 256} {
-		for name, enc := range encoders {
+		for name, old := range olds {
+			enc := func(f int) func([]Pos) []byte {
+				if old(f) {
+					return oldPostingValue
+				}
+				return postingValue
+			}
 			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
 				st := openEmptyStore(t)
 				total := 3*n + 1
@@ -122,16 +161,35 @@ func TestSpanProbeBoundarySweep(t *testing.T) {
 				plantTerm(t, st, "mie", []Pos{{Doc: 0, Off: 1}}, 1, enc)
 
 				it := NewPostingIterator(st, "mid")
-				for i, want := range append(append([]Pos(nil), ps...), MaxPos, MaxPos) {
-					got, err := it.NextPosition()
-					if err != nil || got != want {
-						t.Fatalf("NextPosition %d = %v, %v; want %v", i, got, err, want)
+				if old(0) {
+					if got, err := it.NextPosition(); !isOldFormat(err) {
+						t.Fatalf("NextPosition over an old fragment = %v, %v; want the rebuild error", got, err)
+					}
+				} else {
+					for i, want := range append(append([]Pos(nil), ps...), MaxPos, MaxPos) {
+						got, err := it.NextPosition()
+						if err != nil || got != want {
+							t.Fatalf("NextPosition %d = %v, %v; want %v", i, got, err, want)
+						}
 					}
 				}
 
 				probe := NewSpanProbe(st, "mid")
 				check := func(e Element) {
 					t.Helper()
+					if reachesOld(ps, n, old, e) {
+						got, err := probe.Count(e)
+						if !isOldFormat(err) {
+							t.Fatalf("Count(%+v) reaching an old fragment = %d, %v; want the rebuild error", e, got, err)
+						}
+						if got, err = TFInSpan(st, "mid", e); !isOldFormat(err) {
+							t.Fatalf("TFInSpan(%+v) reaching an old fragment = %d, %v; want the rebuild error", e, got, err)
+						}
+						if offs, err := positionsInSpan(st, "mid", e); !isOldFormat(err) {
+							t.Fatalf("positionsInSpan(%+v) reaching an old fragment = %v, %v; want the rebuild error", e, offs, err)
+						}
+						return
+					}
 					want := modelSpan(ps, e)
 					got, err := probe.Count(e)
 					if err != nil || got != len(want) {

@@ -20,7 +20,6 @@ type SpanProbe struct {
 	cur    *storage.Cursor
 	key    []byte // prefix + the 8-byte position tail, rewritten per seek
 	prefix []byte // key[:len(term)+1]
-	old    []Pos  // decode buffer for postingFormatDelta fragments
 }
 
 // NewSpanProbe creates a probe over term's posting list.
@@ -71,7 +70,7 @@ func (p *SpanProbe) span(e Element, offs *[]uint32) (int, error) {
 	tf := 0
 	for ok && err == nil {
 		var n int
-		if n, ok, err = p.spanInFragment(p.cur.Value(), lo, hi, offs); ok && err == nil {
+		if n, ok, err = spanInFragment(p.cur.Value(), lo, hi, offs); ok && err == nil {
 			ok, err = p.cur.NextPrefix(p.prefix)
 		}
 		tf += n
@@ -82,25 +81,7 @@ func (p *SpanProbe) span(e Element, offs *[]uint32) (int, error) {
 // spanInFragment counts the fragment's positions in [lo, hi) and reports
 // whether the span may continue into the next fragment (every position
 // here was below hi).
-func (p *SpanProbe) spanInFragment(v []byte, lo, hi Pos, offs *[]uint32) (tf int, more bool, err error) {
-	if len(v) > 0 && v[0] != postingFormatSkip {
-		// No checkpoints to search: decode the whole fragment.
-		if p.old, err = decodePostingInto(p.old[:0], v); err != nil {
-			return 0, false, err
-		}
-		for _, pos := range p.old {
-			if !pos.Less(hi) {
-				return tf, false, nil
-			}
-			if !pos.Less(lo) {
-				tf++
-				if offs != nil {
-					*offs = append(*offs, pos.Off)
-				}
-			}
-		}
-		return tf, true, nil
-	}
+func spanInFragment(v []byte, lo, hi Pos, offs *[]uint32) (tf int, more bool, err error) {
 	r, err := openFragment(v)
 	if err != nil {
 		return 0, false, err

@@ -25,15 +25,9 @@ func TestRPLIteratorDescendingScores(t *testing.T) {
 		{Score: 3.0, SID: 1, Doc: 2, End: 300, Length: 70},
 		{Score: 0.5, SID: 3, Doc: 2, End: 400, Length: 80},
 	}
-	for _, e := range entries {
-		if err := st.PutRPL("xml", e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeBlocks(t, st, KindRPL, "xml", entries)
 	// A different term's entries must not leak in.
-	if err := st.PutRPL("other", RPLEntry{Score: 99, SID: 1, Doc: 1, End: 1}); err != nil {
-		t.Fatal(err)
-	}
+	writeBlocks(t, st, KindRPL, "other", []RPLEntry{{Score: 99, SID: 1, Doc: 1, End: 1}})
 	it := NewRPLIterator(st, "xml")
 	var scores []float64
 	for {
@@ -80,11 +74,7 @@ func TestERPLIteratorPositionOrderPerSID(t *testing.T) {
 		{Score: 3, SID: 7, Doc: 1, End: 30},
 		{Score: 4, SID: 8, Doc: 0, End: 10}, // other sid, filtered out
 	}
-	for _, e := range entries {
-		if err := st.PutERPL("q", e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeBlocks(t, st, KindERPL, "q", entries)
 	it := NewERPLIterator(st, "q", 7)
 	var got []RPLEntry
 	for {
@@ -116,11 +106,7 @@ func TestTermERPLMergesAcrossSIDs(t *testing.T) {
 		{Score: 5, SID: 3, Doc: 0, End: 200},
 		{Score: 6, SID: 4, Doc: 0, End: 1}, // not in the query's sid set
 	}
-	for _, e := range puts {
-		if err := st.PutERPL("t", e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeBlocks(t, st, KindERPL, "t", puts)
 	m, err := NewTermERPL(st, "t", []uint32{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)

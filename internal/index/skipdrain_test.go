@@ -3,9 +3,8 @@ package index
 // Block-boundary edge tests for ERPLIterator.SkipTo / DrainBelow and
 // their multi-sid TermERPL counterparts: skip targets exactly at a block
 // header's (maxDoc, maxEnd) bound, one past it, a one-entry trailing
-// block, mixed v1/v2 row interleaves, and the count-0 "empty block" a
-// well-formed encoder can never emit (it must decode as corrupt, not as
-// silently empty).
+// block, and the count-0 "empty block" a well-formed encoder can never
+// emit (it must decode as corrupt, not as silently empty).
 
 import (
 	"encoding/binary"
@@ -34,7 +33,7 @@ func sdEnt(sid, doc uint32) RPLEntry {
 	return RPLEntry{Score: 1 + float64(doc)/7, SID: sid, Doc: doc, End: doc + 2, Length: doc%9 + 1}
 }
 
-// writeBlocked encodes the entries as v2 block rows and asserts the
+// writeBlocked encodes the entries as block rows and asserts the
 // block layout the boundary cases below rely on.
 func writeBlocked(t *testing.T, s *Store, term string, entries []RPLEntry, wantBlocks []int) {
 	t.Helper()
@@ -189,75 +188,9 @@ func TestERPLIteratorDrainBelowBlockBounds(t *testing.T) {
 	}
 }
 
-// TestERPLIteratorMixedFormats interleaves v2 blocks (even docs) with v1
-// row-per-entry rows (odd docs) in one (term, sid) segment: iteration
-// order, skip accounting, and drains must be format-blind.
-func TestERPLIteratorMixedFormats(t *testing.T) {
-	s := skipDrainStore(t)
-	var blocked []RPLEntry
-	for doc := uint32(0); doc < 200; doc += 2 {
-		blocked = append(blocked, sdEnt(1, doc))
-	}
-	writeBlocked(t, s, "mx", blocked, []int{100})
-	for doc := uint32(1); doc < 200; doc += 2 {
-		if err := s.PutERPL("mx", sdEnt(1, doc)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("full iteration is position-ordered", func(t *testing.T) {
-		it := NewERPLIterator(s, "mx", 1)
-		for doc := uint32(0); doc < 200; doc++ {
-			e, ok, err := it.Next()
-			if err != nil || !ok || e != sdEnt(1, doc) {
-				t.Fatalf("entry %d = %+v ok=%v err=%v", doc, e, ok, err)
-			}
-		}
-		if _, ok, _ := it.Next(); ok {
-			t.Fatal("iterator did not end after 200 entries")
-		}
-	})
-
-	t.Run("skip counts only undecoded rows", func(t *testing.T) {
-		it := NewERPLIterator(s, "mx", 1)
-		// The single v2 block (docs 0..198) straddles any mid-list
-		// target and decodes; only the 25 one-entry v1 rows with doc <
-		// 50 skip undecoded.
-		skipped, err := it.SkipTo(50, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if skipped != 25 {
-			t.Fatalf("skipped %d entries undecoded, want 25 v1 rows", skipped)
-		}
-		for doc := uint32(50); doc < 200; doc++ {
-			e, ok, err := it.Next()
-			if err != nil || !ok || e != sdEnt(1, doc) {
-				t.Fatalf("after skip, entry %d = %+v ok=%v err=%v", doc, e, ok, err)
-			}
-		}
-	})
-
-	t.Run("drain crosses formats in order", func(t *testing.T) {
-		it := NewERPLIterator(s, "mx", 1)
-		out, err := it.DrainBelow(100, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 100 {
-			t.Fatalf("drained %d entries, want 100", len(out))
-		}
-		for i, e := range out {
-			if e != sdEnt(1, uint32(i)) {
-				t.Fatalf("drained entry %d = %+v", i, e)
-			}
-		}
-	})
-}
-
-// TestTermERPLSkipDrainAcrossSIDs merges three sid streams (sid 2 stored
-// as v1 rows, the others as two v2 blocks each) and checks SkipTo /
-// DrainBelow against a brute-force reference.
+// TestTermERPLSkipDrainAcrossSIDs merges three sid streams of 300 entries
+// (two full blocks and a partial one each, sid 2 written in a run of its
+// own) and checks SkipTo / DrainBelow against a brute-force reference.
 func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 	s := skipDrainStore(t)
 	var all []RPLEntry
@@ -268,11 +201,7 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 		}
 		all = append(all, stream...)
 		if sid == 2 {
-			for _, e := range stream {
-				if err := s.PutERPL("tt", e); err != nil {
-					t.Fatal(err)
-				}
-			}
+			writeBlocks(t, s, KindERPL, "tt", stream)
 		} else {
 			writeBlocked(t, s, "tt", stream, []int{128, 128, 44})
 		}
@@ -325,10 +254,9 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Priming the heads decoded each stream's first block, so those
-		// entries drop buffered. Block 1 of streams 1 and 3 (docs up to
+		// entries drop buffered. Block 1 of every stream (docs up to
 		// sid-1+765) lies wholly below doc 800 and must skip undecoded
-		// — 128 entries each — while stream 2's v1 rows prune one
-		// undecoded row at a time.
+		// — 128 entries each.
 		skipped, err := m.SkipTo(800, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -352,9 +280,8 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 		if remaining != len(want) {
 			t.Fatalf("%d entries after skip, want %d", remaining, len(want))
 		}
-		undecodable := len(all) - len(want) - 3 // minus the primed heads
-		if skipped < 128*2 || skipped > undecodable {
-			t.Fatalf("skipped %d entries undecoded, want within [256, %d]", skipped, undecodable)
+		if skipped != 3*128 {
+			t.Fatalf("skipped %d entries undecoded, want 384: block 1 of every stream", skipped)
 		}
 	})
 
@@ -381,11 +308,7 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 // corrupt instead of treating it as a silently empty trailing block.
 func TestEmptyTrailingBlockIsCorrupt(t *testing.T) {
 	s := skipDrainStore(t)
-	for doc := uint32(0); doc < 4; doc++ {
-		if err := s.PutERPL("zz", sdEnt(1, doc)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeBlocks(t, s, KindERPL, "zz", []RPLEntry{sdEnt(1, 0), sdEnt(1, 1), sdEnt(1, 2), sdEnt(1, 3)})
 	// A hand-built trailing block row: valid header shape, zero entries.
 	tail := sdEnt(1, 9)
 	val := []byte{listFormatBlock}

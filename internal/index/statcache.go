@@ -20,8 +20,7 @@ type ListStat struct {
 	Entries int
 	Bytes   int64
 	// Blocks is the number of block-encoded storage rows the entries
-	// amount to at the target block size (an upper-bound estimate for
-	// v1 row-per-entry lists, which use one row per entry).
+	// amount to at the target block size.
 	Blocks int
 }
 

@@ -48,9 +48,10 @@ func decodeTermStats(v []byte) (df int, cf int64) {
 	return df, cf
 }
 
-// PutTermStat overwrites one term's df/cf row. Callers that change
-// scoring inputs must also invalidate the stat cache (InvalidateStats)
-// and drop materialized lists whose scores embed the old statistics.
+// PutTermStat overwrites one term's df/cf row. It leaves the stat memo
+// alone: callers that change scoring inputs go through SyncStatistics,
+// which invalidates it, and must drop materialized lists whose scores
+// embed the old statistics.
 func (s *Store) PutTermStat(term string, df int, cf int64) error {
 	return s.TermStats.Put([]byte(term), termStatsValue(uint32(df), uint64(cf)))
 }
@@ -74,11 +75,6 @@ func (s *Store) ElementLengthStats() (elements int, totalLen int64, err error) {
 	}
 	return elements, totalLen, err
 }
-
-// InvalidateStats drops the memoized catalog/term-stat cache. Called
-// under the engine's write exclusivity after statistics are rewritten
-// in place (the distributed stats sync).
-func (s *Store) InvalidateStats() { s.stats.invalidate() }
 
 // metaLocalDocsKey tracks the store's OWN document count once the
 // collection statistics have been overwritten with global values: a

@@ -77,15 +77,6 @@ func (s *Store) Stopwords() (map[string]bool, error) {
 	return set, nil
 }
 
-// IsStopword reports whether term is in the persisted set.
-func (s *Store) IsStopword(term string) (bool, error) {
-	set, err := s.Stopwords()
-	if err != nil {
-		return false, err
-	}
-	return set[term], nil
-}
-
 // FilterStopwords returns terms with stopwords removed, preserving order.
 func (s *Store) FilterStopwords(terms []string) ([]string, error) {
 	set, err := s.Stopwords()

@@ -192,23 +192,6 @@ func (s *Store) NewScorer(terms []string) (*score.Scorer, error) {
 
 // --- RPL / ERPL writes ---
 
-// PutRPL inserts one scored element into term's relevance posting list.
-func (s *Store) PutRPL(term string, e RPLEntry) error {
-	if err := s.noteListChange(); err != nil {
-		return err
-	}
-	return s.RPLs.Put(rplKey(term, e), rplValue(e))
-}
-
-// PutERPL inserts one scored element into term's element-relevance posting
-// list (position order).
-func (s *Store) PutERPL(term string, e RPLEntry) error {
-	if err := s.noteListChange(); err != nil {
-		return err
-	}
-	return s.ERPLs.Put(erplKey(term, e), rplValue(e))
-}
-
 // WriteListRows writes encoded block rows (from EncodeRPLBlocks /
 // EncodeERPLBlocks, possibly spanning several terms) into the kind's
 // tree. An empty tree is built through the storage bulk loader — leaves

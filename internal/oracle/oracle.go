@@ -1,12 +1,14 @@
 // Package oracle is a randomized differential-testing harness for the
 // retrieval strategies. Every case generates a seeded corpus plus a
-// (sids, terms, k) clause, builds four stores — v1 row-per-entry lists,
-// v2 block-encoded lists, a store mixing both formats, and a store
-// serving v2 lists from an immutable mmap'd segment instead of the
-// pager — and asserts that TA, NRA, and Merge return rankings
-// byte-identical to the exhaustive baseline on all of them. No
-// tolerance: the codecs round-trip scores exactly, so any drift is a
-// bug.
+// (sids, terms, k) clause, builds three stores — "v2", the clause's
+// block-encoded lists from one Materialize run; "split", the same lists
+// from two runs over overlapping halves of the sids, so one term's RPL
+// blocks from both runs interleave and the shared sid's drop re-encodes
+// the first run's surviving blocks; and "segment", the v2 lists served
+// from an immutable mmap'd segment instead of the pager — and asserts
+// that TA, NRA, and Merge return rankings byte-identical to the
+// exhaustive baseline on all of them. No tolerance: the codecs
+// round-trip scores exactly, so any drift is a bug.
 //
 // A fifth "Auto" column routes each case through the query planner: a
 // per-case-calibrated planner picks a method from the case's feature
@@ -73,7 +75,7 @@ func NewCase(rng *rand.Rand, seed int64) Case {
 // baseline on one store.
 type Mismatch struct {
 	Case     Case
-	Store    string // "v1", "v2", "mixed", "segment", or a cluster grid cell
+	Store    string // "v2", "split", "segment", or a cluster grid cell
 	Strategy string // "TA", "NRA", "Merge", or "Auto"
 	Detail   string
 	// Cluster marks a distributed-oracle failure (CheckCluster); Repro
@@ -137,32 +139,25 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 	if len(c.DocIDs) == 0 || len(c.SIDs) == 0 || len(c.Terms) == 0 {
 		return nil, fmt.Errorf("oracle: degenerate case %+v", c)
 	}
-	v1, closeV1, err := buildCaseStore(c, "v1")
-	if err != nil {
-		return nil, err
+	type store struct {
+		name string
+		st   *index.Store
 	}
-	defer closeV1()
-	v2, closeV2, err := buildCaseStore(c, "v2")
-	if err != nil {
-		return nil, err
+	var stores []store
+	for _, format := range storeFormats {
+		st, closeSt, err := buildCaseStore(c, format)
+		if err != nil {
+			return nil, err
+		}
+		defer closeSt()
+		stores = append(stores, store{format, st})
 	}
-	defer closeV2()
-	mixed, closeMixed, err := buildCaseStore(c, "mixed")
-	if err != nil {
-		return nil, err
-	}
-	defer closeMixed()
-	seg, closeSeg, err := buildCaseStore(c, "segment")
-	if err != nil {
-		return nil, err
-	}
-	defer closeSeg()
 
-	scv1, err := v1.NewScorer(c.Terms)
+	scBase, err := stores[0].st.NewScorer(c.Terms)
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), v1, c.SIDs, c.Terms, scv1, c.K)
+	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), stores[0].st, c.SIDs, c.Terms, scBase, c.K)
 	if err != nil {
 		return nil, err
 	}
@@ -171,10 +166,6 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 	if kk <= 0 {
 		kk = 1 << 20
 	}
-	stores := []struct {
-		name string
-		st   *index.Store
-	}{{"v1", v1}, {"v2", v2}, {"mixed", mixed}, {"segment", seg}}
 	for _, s := range stores {
 		sc, err := s.st.NewScorer(c.Terms)
 		if err != nil {
@@ -293,11 +284,24 @@ func runAuto(st *index.Store, c Case, sc *score.Scorer, kk int) ([]retrieval.Sco
 	}
 }
 
+// storeFormats are the list stores every case is checked on; the first
+// one's exhaustive ranking is the baseline.
+var storeFormats = []string{"v2", "split", "segment"}
+
+// splitRuns divides a clause's sids into the two Materialize runs of the
+// "split" store: the first half of the sids plus one, then the rest. The
+// runs share one sid, which the second run drops and rebuilds.
+func splitRuns(sids []uint32) [2][]uint32 {
+	h := len(sids) / 2
+	return [2][]uint32{sids[:h+1], sids[h:]}
+}
+
 // buildCaseStore parses the case's collection into a fresh in-memory
-// store and materializes its lists in the requested format: "v1"
-// row-per-entry, "v2" block-encoded, "mixed" (alternating format per
-// term, so both row kinds interleave in the same trees), or "segment"
-// (v2 lists committed to and served from an in-memory segment
+// store and materializes its lists in the requested format: "v2" (one
+// Materialize run), "split" (two runs over splitRuns' halves: one
+// term's RPL blocks from both runs interleave in key space, and the
+// shared sid's drop re-encodes the first run's surviving RPL blocks), or
+// "segment" (v2 lists committed to and served from an in-memory segment
 // generation instead of the pager trees).
 func buildCaseStore(c Case, format string) (*index.Store, func(), error) {
 	return buildStoreFrom(GenCollection(c.Seed, c.DocIDs), c, format)
@@ -328,8 +332,6 @@ func buildStoreFrom(col *corpus.Collection, c Case, format string) (*index.Store
 		return fail(err)
 	}
 	switch format {
-	case "v1":
-		_, err = retrieval.MaterializeV1(st, c.SIDs, c.Terms, sc, index.KindRPL, index.KindERPL)
 	case "v2":
 		_, err = retrieval.Materialize(st, c.SIDs, c.Terms, sc, index.KindRPL, index.KindERPL)
 	case "segment":
@@ -338,14 +340,9 @@ func buildStoreFrom(col *corpus.Collection, c Case, format string) (*index.Store
 			// generation; reads now come off the segment image.
 			err = st.AttachSegments(segment.OpenMemory())
 		}
-	case "mixed":
-		for j, term := range c.Terms {
-			if j%2 == 0 {
-				_, err = retrieval.MaterializeV1(st, c.SIDs, []string{term}, sc, index.KindRPL, index.KindERPL)
-			} else {
-				_, err = retrieval.Materialize(st, c.SIDs, []string{term}, sc, index.KindRPL, index.KindERPL)
-			}
-			if err != nil {
+	case "split":
+		for _, sids := range splitRuns(c.SIDs) {
+			if _, err = retrieval.Materialize(st, sids, c.Terms, sc, index.KindRPL, index.KindERPL); err != nil {
 				break
 			}
 		}

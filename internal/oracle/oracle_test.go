@@ -13,8 +13,8 @@ import (
 
 // TestDifferential200Cases is the CI-mode oracle sweep: 200 seeded cases,
 // each asserting byte-identical rankings from TA, NRA, Merge, and the
-// planner-routed Auto column against the exhaustive baseline across v1,
-// v2, mixed-format, and segment-backed stores.
+// planner-routed Auto column against the exhaustive baseline across the
+// v2, split and segment stores.
 func TestDifferential200Cases(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		seed := seed

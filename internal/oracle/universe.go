@@ -13,7 +13,7 @@ import (
 // JSON collection JSONCollection(Seed, DocIDs) and its canonical XML
 // rendering are indexed independently — the JSON side through the
 // direct jsoncorpus mapping, the XML side through the scanner — and
-// ERA, TA, NRA, and Merge over v1, v2, and segment-backed stores in
+// ERA, TA, NRA, and Merge over the v2, split, and segment stores in
 // BOTH universes must return rankings byte-identical to the exhaustive
 // baseline of the XML universe. Element identity is (doc, end byte
 // offset in the canonical rendering) and scores depend on element
@@ -33,17 +33,17 @@ func checkUniverse(c Case, perturb perturbFunc) (*Mismatch, error) {
 		return nil, fmt.Errorf("oracle: render case %+v: %w", c, err)
 	}
 
-	// Baseline: exhaustive retrieval over the XML universe's v1 store.
-	xv1, closeXV1, err := buildStoreFrom(xcol, c, "v1")
+	// Baseline: exhaustive retrieval over the XML universe's v2 store.
+	xst, closeX, err := buildStoreFrom(xcol, c, storeFormats[0])
 	if err != nil {
 		return nil, err
 	}
-	defer closeXV1()
-	sc, err := xv1.NewScorer(c.Terms)
+	defer closeX()
+	sc, err := xst.NewScorer(c.Terms)
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), xv1, c.SIDs, c.Terms, sc, c.K)
+	base, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), xst, c.SIDs, c.Terms, sc, c.K)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func checkUniverse(c Case, perturb perturbFunc) (*Mismatch, error) {
 		col  *corpus.Collection
 	}{{"json", jcol}, {"xml", xcol}}
 	for _, u := range universes {
-		for _, format := range []string{"v1", "v2", "segment"} {
+		for _, format := range storeFormats {
 			m, err := checkUniverseStore(c, u.name, format, u.col, base, kk, perturb)
 			if m != nil || err != nil {
 				return m, err

@@ -12,7 +12,7 @@ import (
 // TestJSONXMLDifferential200Cases is the cross-universe oracle sweep:
 // 200 seeded cases, each indexing a generated JSON collection and its
 // canonical XML rendering independently and asserting ERA, TA, NRA, and
-// Merge return byte-identical rankings over v1, v2, and segment-backed
+// Merge return byte-identical rankings over the v2, split, and segment
 // stores in both universes. Identity and scores hinge on byte offsets
 // and element lengths in the canonical rendering, so any mapping drift
 // (offsets, lengths, tokenization) fails loudly here.

@@ -49,12 +49,6 @@ func WantKinds(kinds []index.ListKind) (rpl, erpl bool, err error) {
 	return rpl, erpl, nil
 }
 
-// rplRowBytes is the on-disk size of one v1 list entry: term prefix +
-// fixed key tail + value. (The v2 paths account real encoded bytes.)
-func rplRowBytes(term string) int64 { return int64(len(term)) + 1 + 20 + 12 }
-
-func erplRowBytes(term string) int64 { return int64(len(term)) + 1 + 12 + 12 }
-
 // Materialize builds the redundant (term, sid) lists a clause needs, by
 // running ERA over the base tables and scoring each element — exactly how
 // the paper generates and extends the RPLs and ERPLs tables ("TReX also
@@ -68,13 +62,15 @@ func erplRowBytes(term string) int64 { return int64(len(term)) + 1 + 12 + 12 }
 // sort of that slice on the inverted score (index.RadixScoreOrder). Both
 // encoders verify their input order in one pass and would sort entries
 // handed to them out of order, so the output never depends on ERA's order.
-// Lists are written in the v2 block encoding (see internal/index's block
-// codec): packed ~128 entries per row and loaded through the storage bulk
-// loader when the tree is still empty.
+// Lists are written as blocks (see internal/index's block codec): packed
+// ~128 entries per row and loaded through the storage bulk loader when
+// the tree is still empty.
 //
 // Any (term, sid) list that is already marked built for a requested kind
-// is dropped first, so a rebuild can never leave stale rows behind
-// (block row keys do not overwrite v1 rows key-for-key). The catalog
+// is dropped first, so a rebuild can never leave stale rows behind (a
+// rebuilt block's key need not match the stale block's). Each (term, sid)
+// ERPL is therefore written by one run, which is what lets its iterator
+// walk blocks without merging them. The catalog
 // records each list's entry count and exact encoded byte share, which is
 // what the self-management advisor budgets against.
 //
@@ -268,71 +264,4 @@ func (p *pairLists) pair(j int, sid uint32) int { return j*len(p.sids) + p.slot(
 func (p *pairLists) bounds(j int) (lo, hi int) {
 	ns := len(p.sids)
 	return p.off[j*ns], p.off[(j+1)*ns]
-}
-
-// MaterializeV1 writes row-per-entry (v1) lists — the seed's format. It
-// remains for cross-version testing (the oracle's v1 stores); production
-// paths use Materialize.
-func MaterializeV1(st *index.Store, sids []uint32, terms []string, sc *score.Scorer, kinds ...index.ListKind) (*MaterializeStats, error) {
-	wantRPL, wantERPL, err := WantKinds(kinds)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := ERACtx(context.Background(), st, sids, terms)
-	if err != nil {
-		return nil, err
-	}
-	ms := &MaterializeStats{}
-	type pairKey struct {
-		term string
-		sid  uint32
-	}
-	counts := make(map[pairKey]int)
-	for _, r := range rows {
-		for j, t := range terms {
-			if r.TF[j] == 0 {
-				continue
-			}
-			entry := index.RPLEntry{
-				Score:  sc.Score(t, r.TF[j], int(r.Elem.Length)),
-				SID:    r.Elem.SID,
-				Doc:    r.Elem.Doc,
-				End:    r.Elem.End,
-				Length: r.Elem.Length,
-			}
-			if wantRPL {
-				if err := st.PutRPL(t, entry); err != nil {
-					return nil, err
-				}
-				ms.RPLEntries++
-				ms.RPLRows++
-				ms.RPLBytes += rplRowBytes(t)
-			}
-			if wantERPL {
-				if err := st.PutERPL(t, entry); err != nil {
-					return nil, err
-				}
-				ms.ERPLEntries++
-				ms.ERPLRows++
-				ms.ERPLBytes += erplRowBytes(t)
-			}
-			counts[pairKey{term: t, sid: r.Elem.SID}]++
-		}
-	}
-	for _, t := range terms {
-		for _, sid := range sids {
-			c := counts[pairKey{term: t, sid: sid}]
-			if wantRPL {
-				if err := st.MarkBuilt(index.KindRPL, t, sid, c, int64(c)*rplRowBytes(t)); err != nil {
-					return nil, err
-				}
-			}
-			if wantERPL {
-				if err := st.MarkBuilt(index.KindERPL, t, sid, c, int64(c)*erplRowBytes(t)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return ms, nil
 }

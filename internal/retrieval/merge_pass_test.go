@@ -68,22 +68,19 @@ func (h *refERPLHeap) Pop() any {
 	return out
 }
 
-// writeMixedERPLs scores every ERA row of (sids, terms) and writes the
-// ERPLs in all three shapes a store can hold, chosen per (term, sid): v2
-// blocks, v1 rows, and both in one segment (a random half of the entries
-// in blocks, the rest as v1 rows between and inside them), so iterators
-// meet lookahead rows that interleave with their buffer. It returns the
-// ERA rows.
-func writeMixedERPLs(t *testing.T, st *index.Store, sids []uint32, terms []string, score func(term, tf, length int) float64) []ElementTF {
+// writeERPLs scores every ERA row of (sids, terms) and writes the ERPLs as
+// blocks, each (term, sid) list in one run as Materialize writes it: the
+// lists of half the pairs through the bulk loader into the empty tree, the
+// rest put beside them afterwards. It returns the ERA rows.
+func writeERPLs(t *testing.T, st *index.Store, sids []uint32, terms []string, score func(term, tf, length int) float64) []ElementTF {
 	t.Helper()
 	rows, _, err := ERACtx(context.Background(), st, sids, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	var blockRows []index.ListRow
+	var batches [2][]index.ListRow
 	for j, term := range terms {
-		var blocks, v1 []index.RPLEntry
+		var entries [2][]index.RPLEntry
 		for _, r := range rows {
 			if r.TF[j] == 0 {
 				continue
@@ -92,22 +89,17 @@ func writeMixedERPLs(t *testing.T, st *index.Store, sids []uint32, terms []strin
 				Score: score(j, r.TF[j], int(r.Elem.Length)),
 				SID:   r.Elem.SID, Doc: r.Elem.Doc, End: r.Elem.End, Length: r.Elem.Length,
 			}
-			switch shape := (j + int(e.SID)) % 3; {
-			case shape == 0, shape == 2 && rng.Intn(2) == 0:
-				blocks = append(blocks, e)
-			default:
-				v1 = append(v1, e)
-			}
+			b := (j + int(e.SID)) % 2
+			entries[b] = append(entries[b], e)
 		}
-		blockRows = append(blockRows, index.EncodeERPLBlocks(term, blocks)...)
-		for _, e := range v1 {
-			if err := st.PutERPL(term, e); err != nil {
-				t.Fatal(err)
-			}
+		for b := range batches {
+			batches[b] = append(batches[b], index.EncodeERPLBlocks(term, entries[b])...)
 		}
 	}
-	if err := st.WriteListRows(index.KindERPL, blockRows); err != nil {
-		t.Fatal(err)
+	for _, rows := range batches {
+		if err := st.WriteListRows(index.KindERPL, rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return rows
 }
@@ -144,11 +136,11 @@ func genUniverses(t *testing.T, each func(t *testing.T, e *env, all []uint32, te
 
 // TestTermERPLMatchesReferenceMerge drives TermERPL's Next, DrainBelow,
 // SkipTo and Head in random order against the container/heap merge it
-// replaced, over v1, v2 and mixed segments: every sid at once, random
-// subsets, a sid with an empty extent, a term without a list.
+// replaced: every sid at once, random subsets, a sid with an empty
+// extent, a term without a list.
 func TestTermERPLMatchesReferenceMerge(t *testing.T) {
 	genUniverses(t, func(t *testing.T, e *env, all []uint32, terms []string) {
-		writeMixedERPLs(t, e.store, all, terms, func(_, tf, length int) float64 { return float64(tf) / float64(length) })
+		writeERPLs(t, e.store, all, terms, func(_, tf, length int) float64 { return float64(tf) / float64(length) })
 		empty := uint32(len(all) + 50) // no element carries it
 		rng := rand.New(rand.NewSource(13))
 		entries := 0
@@ -282,7 +274,7 @@ func referenceRanking(rows []ElementTF, score func(term, tf, length int) float64
 func TestMergeSelectsSortedPrefix(t *testing.T) {
 	genUniverses(t, func(t *testing.T, e *env, all []uint32, terms []string) {
 		tfScore := func(_, tf, _ int) float64 { return float64(tf) }
-		want := referenceRanking(writeMixedERPLs(t, e.store, all, terms, tfScore), tfScore)
+		want := referenceRanking(writeERPLs(t, e.store, all, terms, tfScore), tfScore)
 		n := len(want)
 		ties := 0
 		for i := 1; i < n; i++ {

@@ -60,10 +60,7 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 		n = 64
 		terms = terms[:64]
 	}
-	sidSet := make(map[uint32]bool, len(sids))
-	for _, s := range sids {
-		sidSet[s] = true
-	}
+	sidSet := NewSIDSet(sids)
 	for j, t := range terms {
 		var err error
 		if stats.ListTotals[j], err = builtTotal(st, index.KindRPL, t, sids); err != nil {
@@ -143,8 +140,8 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 		}
 		// Tighten each list's bound to its next unreturned entry's score
 		// (BlockMaxScore): at least as tight as the last value returned
-		// (high), and identical for v1 and block-encoded lists, so stop
-		// decisions — and rankings — do not depend on the row format.
+		// (high), and independent of where blocks begin, so stop
+		// decisions — and rankings — do not depend on the blocking.
 		for j := range iters {
 			bounds[j] = 0
 			if exhausted[j] {

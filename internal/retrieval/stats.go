@@ -51,8 +51,7 @@ type Stats struct {
 	// truncation.
 	Answers int
 	// CursorSteps counts storage rows fetched by the RPL/ERPL list
-	// iterators. With v1 row-per-entry lists this tracks ListReads; with
-	// v2 block rows it is a fraction of it — the cursor-step saving the
+	// iterators: a fraction of ListReads, the cursor-step saving the
 	// block encoding buys.
 	CursorSteps int
 	// BlockSkips counts entries Merge consumed through the bulk drain
@@ -156,8 +155,8 @@ func (s *Stats) ITATime() time.Duration {
 // An ERPL read counts as one read like an RPL read, and that is measured
 // too: index.erpl_next_ns on paper_grid is about 30 beside index.rpl_next_ns
 // 69, since the ERPL iterator decodes each block into the buffer it owns and
-// decides once per block whether its lookahead row can interleave (47-62
-// while every block was a fresh slice and every entry re-checked the row).
+// walks blocks without merging them (47-62 while every block was a fresh
+// slice and every entry re-checked a lookahead row).
 // Merge's ranking is still priced as n log n below although it now selects
 // the k best in about n comparisons: the term is what the advisor's plans
 // were calibrated on, and Merge reads every list to the end either way.

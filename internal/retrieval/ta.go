@@ -33,10 +33,7 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 		stats.Elapsed = time.Since(start)
 		return nil, stats, nil
 	}
-	sidSet := make(map[uint32]bool, len(sids))
-	for _, s := range sids {
-		sidSet[s] = true
-	}
+	sidSet := NewSIDSet(sids)
 	for j, t := range terms {
 		var err error
 		if stats.ListTotals[j], err = builtTotal(st, index.KindRPL, t, sids); err != nil {
@@ -153,9 +150,9 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 		//
 		// Each list's bound is its next unreturned entry's score
 		// (BlockMaxScore): emission is score-descending, so this bounds
-		// everything still unread — block-encoded and v1 lists report the
-		// identical value, and mid-block it is at least as tight as the
-		// last value returned, so the threshold can only drop.
+		// everything still unread — however the entries are blocked —
+		// and mid-block it is at least as tight as the last value
+		// returned, so the threshold can only drop.
 		var threshold float64
 		for j := range iters {
 			if exhausted[j] {
@@ -190,7 +187,7 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 
 // nextInSIDSet advances an RPL iterator to the next entry whose sid is in
 // the query, counting skipped entries.
-func nextInSIDSet(it *index.RPLIterator, sidSet map[uint32]bool, stats *Stats, j int) (index.RPLEntry, bool, error) {
+func nextInSIDSet(it *index.RPLIterator, sidSet SIDSet, stats *Stats, j int) (index.RPLEntry, bool, error) {
 	for {
 		e, ok, err := it.Next()
 		if err != nil || !ok {
@@ -198,7 +195,7 @@ func nextInSIDSet(it *index.RPLIterator, sidSet map[uint32]bool, stats *Stats, j
 		}
 		stats.SortedAccesses++
 		stats.ListReads[j]++
-		if sidSet[e.SID] {
+		if sidSet.Has(e.SID) {
 			return e, true, nil
 		}
 		stats.SkippedBySID++
