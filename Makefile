@@ -38,10 +38,13 @@ vet:
 # profile is the profile-led loop of ROADMAP item 3 as one command: run the
 # root `go test -bench` figures matching BENCH under the CPU and heap
 # profilers, leave the binary and both profiles in .bench_build/, and print
-# the cumulative CPU top. BENCH=ReplanAfterCommit profiles the write path's
-# re-plan (what the benchmark's replan_p50_ms times), BENCH=ServeLadder the
-# read path's serve loop (what the qps of paper_grid and cold_base times),
-# BENCH=Create the base build (what setup_s and peak_rss_mb are set by).
+# the cumulative CPU top. BENCH=ReplanAfterCommit/half profiles the write
+# path's re-plan as serve_http runs it (what the benchmark's replan_p50_ms
+# times: a shared-pair workload at half budget, most candidates dropped),
+# BENCH=ReplanAfterCommit/unlimited the same with every list kept,
+# BENCH=ServeLadder the read path's serve loop (what the qps of paper_grid
+# and cold_base times), BENCH=Create the base build (what setup_s and
+# peak_rss_mb are set by).
 # Look closer with
 #   go tool pprof -list 'MergeCtx' .bench_build/trex.test .bench_build/cpu.prof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/trex.test .bench_build/mem.prof

@@ -79,12 +79,6 @@ type AdvisorReport struct {
 	Routed map[string]selfmanage.Routing
 }
 
-type listInfo struct {
-	kind index.ListKind
-	term string
-	sid  uint32
-}
-
 // listKey is the physical list identity used in the solver's sharing
 // model and in reports. The sid (fixed-format decimal) comes before the
 // term and the term is the final field, so a term containing '/' — or
@@ -106,28 +100,33 @@ type selfManageConfig struct {
 	// skipUntranslatable drops workload entries whose NEXI no longer
 	// parses or translates instead of failing the run.
 	skipUntranslatable bool
-	// pause rate-limits maintenance: it is slept between per-query
-	// measurement steps and between per-list drop steps, with the engine
-	// write lock released, so foreground queries are never starved.
+	// pause rate-limits maintenance: it is slept after each workload
+	// query's build and measurement, with no engine lock held, so
+	// foreground queries keep the CPU between steps.
 	pause time.Duration
 }
 
 // SelfManage measures the workload's queries under all three strategies,
 // chooses which redundant lists to keep under the disk budget using the
-// selected solver, and reclaims the rest — the full self-management cycle
+// selected solver, and writes that plan — the full self-management cycle
 // of Section 4.
 //
 // Measurement works the way the paper prescribes: the lists each query
 // would need are materialized (via ERA), the three strategies are run, and
 // "the actual time savings and disk space ... measured experimentally and
 // assigned in the formulas". Costs use the deterministic Stats.CostProxy
-// so plans are reproducible. Lists the plan does not keep are dropped,
-// including previously existing lists the workload references; lists
-// never referenced by the workload are left untouched.
+// so plans are reproducible. The candidate lists are built into an
+// in-memory index.ListDraft and measured there; only the lists the plan
+// keeps are written to the store, and lists the plan does not keep are
+// dropped, including previously existing lists the workload references.
+// Lists never referenced by the workload are left untouched.
 //
-// SelfManage is a maintenance operation: it may run while queries are
-// served (each materialize/drop step briefly holds the engine write
-// lock) but is exclusive with other maintenance operations.
+// SelfManage is a maintenance operation: builds and measurements run
+// under the engine read lock, so queries keep flowing (and see the lists
+// as they were) until one write-locked step applies the plan. It is
+// exclusive with other maintenance operations. A run that fails before
+// the plan is applied — an untranslatable query, a cancelled context, a
+// solver error — leaves the store untouched.
 func (e *Engine) SelfManage(queries []WorkloadQuery, disk int64, solver Solver) (*AdvisorReport, error) {
 	return e.selfManage(context.Background(), queries, disk, solver, selfManageConfig{})
 }
@@ -141,12 +140,13 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 
 	report := &AdvisorReport{DiskBudget: disk, Routed: make(map[string]selfmanage.Routing)}
 	w := &selfmanage.Workload{}
-	lists := make(map[string]listInfo)
+	lists := make(map[string]index.ListID)
+	draft := index.NewListDraft(e.store)
 	for _, wq := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		spec, err := e.measureWorkloadQuery(ctx, wq, lists, report.Routed)
+		spec, err := e.measureWorkloadQuery(ctx, draft, wq, lists, report.Routed)
 		if err != nil {
 			if cfg.skipUntranslatable && spec == nil {
 				report.SkippedQueries = append(report.SkippedQueries, wq.NEXI)
@@ -184,12 +184,11 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 	for _, k := range plan.Lists {
 		keep[k] = true
 	}
-	var dropKeys []string
 	for key := range lists {
 		if keep[key] {
 			report.KeptLists = append(report.KeptLists, key)
 		} else {
-			dropKeys = append(dropKeys, key)
+			report.DroppedLists = append(report.DroppedLists, key)
 		}
 	}
 	if cfg.dropUnreferenced {
@@ -197,29 +196,25 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 		if err != nil {
 			return nil, err
 		}
-		for key, info := range extra {
-			lists[key] = info
-			dropKeys = append(dropKeys, key)
+		for key, id := range extra {
+			lists[key] = id
+			report.DroppedLists = append(report.DroppedLists, key)
 		}
 	}
 	sort.Strings(report.KeptLists)
-	sort.Strings(dropKeys)
-	for _, key := range dropKeys {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		info := lists[key]
-		e.beginWrite()
-		n, err := e.store.DropList(info.kind, info.term, info.sid)
-		e.endWrite()
-		if err != nil {
-			return nil, err
-		}
-		report.DroppedEntries += n
-		report.DroppedLists = append(report.DroppedLists, key)
-		if err := maintSleep(ctx, cfg.pause); err != nil {
-			return nil, err
-		}
+	sort.Strings(report.DroppedLists)
+	drops := make([]index.ListID, len(report.DroppedLists))
+	for i, key := range report.DroppedLists {
+		drops[i] = lists[key]
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e.beginWrite()
+	report.DroppedEntries, err = draft.Apply(drops)
+	e.endWrite()
+	if err != nil {
+		return nil, fmt.Errorf("trex: self-manage (apply phase): %w", err)
 	}
 	if err := e.store.CommitLists(); err != nil {
 		return nil, fmt.Errorf("trex: self-manage (segment commit phase, plan applied in memory): %w", err)
@@ -230,11 +225,12 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 	return report, nil
 }
 
-// measureWorkloadQuery materializes the query's candidate lists (unless
-// already fully built) under the engine write lock, then measures the
-// strategies under the read lock, so queries keep flowing between the
-// two phases. A (nil, err) return means the query failed to translate;
-// (non-nil spec, err) is an internal error.
+// measureWorkloadQuery builds the query's candidate lists into the draft
+// (unless the draft's view already covers them) and measures the
+// strategies through the view, all under the engine read lock: the build
+// reads only base tables and the draft is the re-plan's own, so queries
+// keep flowing and see nothing of it. A (nil, err) return means the query
+// failed to translate; (non-nil spec, err) is an internal error.
 //
 // NRA is measured alongside the paper's three strategies, every
 // measured cost calibrates the planner's model, and the solver's saving
@@ -244,64 +240,68 @@ func (e *Engine) selfManage(ctx context.Context, queries []WorkloadQuery, disk i
 // RPL the planner would not route to is worthless), and likewise for
 // "Merge time" under ERPL-only coverage.
 // The routing per query is recorded in routed.
-func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lists map[string]listInfo, routed map[string]selfmanage.Routing) (*selfmanage.QuerySpec, error) {
-	e.beginWrite()
+func (e *Engine) measureWorkloadQuery(ctx context.Context, draft *index.ListDraft, wq WorkloadQuery, lists map[string]index.ListID, routed map[string]selfmanage.Routing) (*selfmanage.QuerySpec, error) {
+	e.beginRead()
+	defer e.endRead()
 	tr, err := e.translateMode(wq.NEXI, translate.ModeVague)
 	if err != nil {
-		e.endWrite()
 		return nil, fmt.Errorf("trex: workload query %q: %w", wq.NEXI, err)
 	}
 	sids, terms := flatten(tr)
+	st := draft.View()
 	// eraStats is the build's own ERA pass when the lists are built here:
 	// ExhaustiveTopKCtx would sweep the same base tables and count the same
 	// positions, elements, list reads and answers, which is all CostProxy
 	// reads.
 	var eraStats *retrieval.Stats
-	sc, err := e.store.NewScorer(terms)
-	if err == nil {
-		// Steady-state autopilot runs re-measure a workload whose lists
-		// are already materialized; skip the ERA rebuild then.
-		var rpl, erpl bool
-		if rpl, err = e.store.Covered(index.KindRPL, terms, sids); err == nil {
-			erpl, err = e.store.Covered(index.KindERPL, terms, sids)
-		}
-		if err == nil && !(rpl && erpl) {
-			var ms *retrieval.MaterializeStats
-			if ms, err = retrieval.Materialize(e.store, sids, terms, sc, index.KindRPL, index.KindERPL); err == nil {
-				eraStats = ms.ERA
-			}
-		}
-	}
-	e.endWrite()
+	sc, err := st.NewScorer(terms)
 	if err != nil {
 		return &selfmanage.QuerySpec{}, err
 	}
+	// Steady-state autopilot runs re-measure a workload whose lists are
+	// already materialized; skip the ERA rebuild then.
+	rpl, err := st.Covered(index.KindRPL, terms, sids)
+	if err != nil {
+		return &selfmanage.QuerySpec{}, err
+	}
+	erpl, err := st.Covered(index.KindERPL, terms, sids)
+	if err != nil {
+		return &selfmanage.QuerySpec{}, err
+	}
+	if !(rpl && erpl) {
+		b, ms, err := retrieval.BuildLists(st, sids, terms, sc, index.KindRPL, index.KindERPL)
+		if err != nil {
+			return &selfmanage.QuerySpec{}, err
+		}
+		if err := draft.Add(b); err != nil {
+			return &selfmanage.QuerySpec{}, err
+		}
+		eraStats = ms.ERA
+	}
 
-	e.beginRead()
-	defer e.endRead()
 	k := wq.K
 	if k <= 0 {
 		k = DefaultK
 	}
 	if eraStats == nil {
-		if _, eraStats, err = retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, k); err != nil {
+		if _, eraStats, err = retrieval.ExhaustiveTopKCtx(ctx, st, sids, terms, sc, k); err != nil {
 			return &selfmanage.QuerySpec{}, err
 		}
 	}
-	_, taStats, err := retrieval.TACtx(ctx, e.store, sids, terms, sc, k)
+	_, taStats, err := retrieval.TACtx(ctx, st, sids, terms, sc, k)
 	if err != nil {
 		return &selfmanage.QuerySpec{}, err
 	}
-	_, mergeStats, err := retrieval.MergeCtx(ctx, e.store, sids, terms, k)
+	_, mergeStats, err := retrieval.MergeCtx(ctx, st, sids, terms, k)
 	if err != nil {
 		return &selfmanage.QuerySpec{}, err
 	}
 
-	_, nraStats, err := retrieval.NRACtx(ctx, e.store, sids, terms, k)
+	_, nraStats, err := retrieval.NRACtx(ctx, st, sids, terms, k)
 	if err != nil {
 		return &selfmanage.QuerySpec{}, err
 	}
-	feats, err := e.planFeatures(sids, terms, k)
+	feats, err := planFeatures(st, sids, terms, k)
 	if err != nil {
 		return &selfmanage.QuerySpec{}, err
 	}
@@ -334,12 +334,12 @@ func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lis
 	for _, term := range terms {
 		for _, sid := range sids {
 			for _, kind := range []index.ListKind{index.KindRPL, index.KindERPL} {
-				_, bytes, err := e.store.BuiltSize(kind, term, sid)
+				_, bytes, err := st.BuiltSize(kind, term, sid)
 				if err != nil {
 					return &selfmanage.QuerySpec{}, err
 				}
 				key := listKey(kind, term, sid)
-				lists[key] = listInfo{kind: kind, term: term, sid: sid}
+				lists[key] = index.ListID{Kind: kind, Term: term, SID: sid}
 				ref := selfmanage.ListRef{Key: key, Bytes: bytes}
 				if kind == index.KindRPL {
 					spec.TALists = append(spec.TALists, ref)
@@ -355,14 +355,14 @@ func (e *Engine) measureWorkloadQuery(ctx context.Context, wq WorkloadQuery, lis
 // unreferencedLists returns every materialized list that neither the
 // plan keeps nor the measured workload references (those are in lists
 // already and handled by the normal drop path).
-func (e *Engine) unreferencedLists(keep map[string]bool, lists map[string]listInfo) (map[string]listInfo, error) {
+func (e *Engine) unreferencedLists(keep map[string]bool, lists map[string]index.ListID) (map[string]index.ListID, error) {
 	e.beginRead()
 	entries, err := e.store.CatalogEntries()
 	e.endRead()
 	if err != nil {
 		return nil, err
 	}
-	extra := make(map[string]listInfo)
+	extra := make(map[string]index.ListID)
 	for _, ce := range entries {
 		key := listKey(ce.Kind, ce.Term, ce.SID)
 		if keep[key] {
@@ -371,7 +371,7 @@ func (e *Engine) unreferencedLists(keep map[string]bool, lists map[string]listIn
 		if _, known := lists[key]; known {
 			continue
 		}
-		extra[key] = listInfo{kind: ce.Kind, term: ce.Term, sid: ce.SID}
+		extra[key] = index.ListID{Kind: ce.Kind, Term: ce.Term, SID: ce.SID}
 	}
 	return extra, nil
 }

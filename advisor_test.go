@@ -1,6 +1,8 @@
 package trex
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -250,5 +252,97 @@ func TestSelfManagePricesERAFromTheBuildPass(t *testing.T) {
 	if len(got.KeptLists) == 0 || len(got.DroppedLists) == 0 {
 		t.Fatalf("fixture: the budget should keep some lists and drop others (kept %d, dropped %d)",
 			len(got.KeptLists), len(got.DroppedLists))
+	}
+}
+
+// cancelAt is a context that reports context.Canceled from its n-th Err
+// call on and never closes Done. selfManage polls Err once before each
+// workload query and once after its measurement, while the strategies
+// poll only Done, so it cancels a re-plan at one exact point between
+// queries.
+type cancelAt struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAt) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSelfManageFailureLeavesStoreUntouched: a re-plan that stops before
+// its plan is applied — a workload query that does not translate, or a
+// context cancelled between queries — has written nothing. The catalog,
+// the list epoch, the served segment generation and the result cache's
+// write epoch are what they were, and reads still come off the segment.
+// The first workload query shares its "ontologies" pairs with lists
+// built before the run and adds a term that is not built, so its build
+// replaces committed lists in the draft.
+func TestSelfManageFailureLeavesStoreUntouched(t *testing.T) {
+	eng := testEngineOpts(t, 40, 31, &Options{SegmentLists: true})
+	pre := `//article//sec[about(., ontologies case study)]`
+	if _, err := eng.Materialize(pre, index.KindRPL, index.KindERPL); err != nil {
+		t.Fatal(err)
+	}
+	workload := []WorkloadQuery{
+		{NEXI: `//article//sec[about(., ontologies retrieval)]`, Freq: 0.4, K: 10},
+		{NEXI: `//article[about(., xml query evaluation)]`, Freq: 0.3, K: 10},
+		{NEXI: `//article[about(., `, Freq: 0.2, K: 10},
+		{NEXI: `//bdy//*[about(., model checking)]`, Freq: 0.1, K: 10},
+	}
+	type state struct {
+		catalog    []index.CatalogEntry
+		listEpoch  uint64
+		generation uint64
+		writeEpoch uint64
+	}
+	snapshot := func() state {
+		t.Helper()
+		catalog, err := eng.Store().CatalogEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := eng.Store().ListEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state{catalog, epoch, eng.Store().Segments().Generation(), eng.writeEpoch.Load()}
+	}
+	before := snapshot()
+	if len(before.catalog) == 0 {
+		t.Fatal("fixture: no lists built before the re-plan")
+	}
+	for _, run := range []struct {
+		name string
+		plan func() error
+	}{
+		{"untranslatable", func() error {
+			_, err := eng.SelfManage(workload, 1<<40, SolverGreedy)
+			return err
+		}},
+		{"cancelled", func() error {
+			ok := []WorkloadQuery{workload[0], workload[1], workload[3]}
+			_, err := eng.selfManage(&cancelAt{Context: context.Background(), n: 4}, ok, 1<<40, SolverGreedy, selfManageConfig{})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled re-plan returned %v, want context.Canceled", err)
+			}
+			return err
+		}},
+	} {
+		if err := run.plan(); err == nil {
+			t.Fatalf("%s: re-plan succeeded", run.name)
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the failed re-plan changed the store:\n before %+v\n after  %+v", run.name, before, after)
+		}
+		rows := eng.Store().Segments().RowsRead()
+		if _, err := eng.Query(pre, 5, MethodTA); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Store().Segments().RowsRead() == rows {
+			t.Fatalf("%s: TA no longer reads from the segment after the failed re-plan", run.name)
+		}
 	}
 }

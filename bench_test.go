@@ -208,11 +208,43 @@ func BenchmarkMaterialize(b *testing.B) {
 
 // BenchmarkReplanAfterCommit measures one write cycle's re-plan — what the
 // benchmark's replan_p50_ms times: after an 8-document commit has dropped
-// every list, SelfManage re-materializes and re-measures the five IEEE
-// Table 1 queries on a 1,500-document generated IEEE collection (the size
-// of paper_grid's). Only SelfManage is timed; the commit before it is not.
-// `make profile BENCH=ReplanAfterCommit` profiles it.
+// every list, SelfManage re-materializes and re-measures a workload on a
+// 1,500-document generated IEEE collection (the size of paper_grid's).
+// Only SelfManage is timed; the commit before it is not.
+//
+//   - unlimited: the five IEEE Table 1 queries with no space budget to
+//     speak of, so every measured list is kept.
+//   - half: sharedPairsWorkload at half the budget its unlimited plan
+//     uses, as serve_http chooses its lists: later queries rebuild
+//     (term, sid) pairs earlier ones built, and the plan drops many of
+//     the candidates.
+//
+// `make profile BENCH=ReplanAfterCommit/half` profiles one of them.
 func BenchmarkReplanAfterCommit(b *testing.B) {
+	b.Run("unlimited", func(b *testing.B) {
+		benchReplan(b, func(eng *trex.Engine) ([]trex.WorkloadQuery, int64) {
+			return selfManageTable1(b, eng), 1 << 60
+		})
+	})
+	b.Run("half", func(b *testing.B) {
+		benchReplan(b, func(eng *trex.Engine) ([]trex.WorkloadQuery, int64) {
+			workload := sharedPairsWorkload()
+			full, err := eng.SelfManage(workload, 1<<60, trex.SolverGreedy)
+			if err != nil {
+				b.Fatal(err)
+			}
+			budget := full.Plan.DiskUsed / 2
+			if _, err := eng.SelfManage(workload, budget, trex.SolverGreedy); err != nil {
+				b.Fatal(err)
+			}
+			return workload, budget
+		})
+	})
+}
+
+// benchReplan times SelfManage after each commit, over the workload and
+// budget setup chooses on the freshly built engine.
+func benchReplan(b *testing.B, setup func(*trex.Engine) ([]trex.WorkloadQuery, int64)) {
 	const initial, batch = 1500, 8
 	col := corpus.Generate(corpus.Config{Style: corpus.StyleIEEE, Docs: initial + 32*batch, Seed: 20070415})
 	tail := col.Docs[initial:]
@@ -222,7 +254,7 @@ func BenchmarkReplanAfterCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	workload := selfManageTable1(b, eng)
+	workload, budget := setup(eng)
 	ing := eng.NewIngestor()
 	next := 0
 	b.ReportAllocs()
@@ -241,10 +273,39 @@ func BenchmarkReplanAfterCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := eng.SelfManage(workload, 1<<60, trex.SolverGreedy); err != nil {
+		if _, err := eng.SelfManage(workload, budget, trex.SolverGreedy); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sharedPairsWorkload is a serve pool in miniature: four NEXI shapes ×
+// subsets of three planted IEEE topics' words, with Zipf frequencies.
+// Shapes share sids and subsets share terms, so most (term, sid) pairs
+// belong to several queries.
+func sharedPairsWorkload() []trex.WorkloadQuery {
+	shapes := []string{
+		`//article//sec[about(., %s)]`,
+		`//sec[about(., %s)]`,
+		`//article//p[about(., %s)]`,
+		`//bdy//sec//p[about(., %s)]`,
+	}
+	subsets := []string{
+		"ontologies", "case study", "ontologies case study",
+		"model checking", "state space", "model checking state space",
+		"information", "retrieval", "introduction information retrieval",
+	}
+	var workload []trex.WorkloadQuery
+	for _, sub := range subsets {
+		for _, shape := range shapes {
+			workload = append(workload, trex.WorkloadQuery{
+				NEXI: fmt.Sprintf(shape, sub),
+				Freq: 1 / float64(len(workload)+1),
+				K:    10,
+			})
+		}
+	}
+	return workload
 }
 
 // ieeeTable1 holds the five IEEE queries of the paper's Table 1.

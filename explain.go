@@ -122,7 +122,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, src string) (*Explanation, erro
 	}
 	ex.MethodAtSmallK = e.methodAt(sids, planTerms, retrievalK(tr, negs, 1))
 	ex.MethodAtLargeK = e.methodAt(sids, planTerms, retrievalK(tr, negs, 1_000_000))
-	if f, ferr := e.planFeatures(sids, planTerms, retrievalK(tr, negs, DefaultK)); ferr == nil {
+	if f, ferr := planFeatures(e.store, sids, planTerms, retrievalK(tr, negs, DefaultK)); ferr == nil {
 		d := e.pln.model.Plan(f)
 		ex.PlanFeatures = &f
 		ex.Plan = &d
@@ -163,7 +163,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, src string) (*Explanation, erro
 // decision (cold-starting on the static rule while uncalibrated), or
 // ERA when feature extraction fails, as in queryCore.
 func (e *Engine) methodAt(sids []uint32, terms []string, k int) Method {
-	f, err := e.planFeatures(sids, terms, k)
+	f, err := planFeatures(e.store, sids, terms, k)
 	if err != nil {
 		return MethodERA
 	}

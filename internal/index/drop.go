@@ -7,10 +7,10 @@ import (
 )
 
 // DropList removes every entry of the (kind, term, sid) list and its
-// catalog record, returning the number of entries deleted. The
-// self-managing advisor uses this to reclaim lists that were materialized
-// for measurement but not selected by the plan, and Materialize uses it
-// to clear a stale list before rebuilding it.
+// catalog record, returning the number of entries deleted. Materialize
+// uses it to clear a stale list before rebuilding it; the
+// self-management advisor does not, since it measures candidates in a
+// ListDraft and writes only its plan (ListDraft.Apply).
 //
 // ERPL blocks hold a single sid, recoverable from the key, so they are
 // deleted whole. RPL blocks may mix sids (score order interleaves them);
@@ -20,52 +20,72 @@ func (s *Store) DropList(kind ListKind, term string, sid uint32) (int, error) {
 	if err := s.noteListChange(); err != nil {
 		return 0, err
 	}
+	var n int
+	var err error
 	if kind == KindERPL {
-		return s.dropERPL(term, sid)
+		n, err = s.deleteERPLRows(term, sid)
+	} else {
+		n, err = s.dropRPLEntries(term, func(x uint32) bool { return x == sid })
 	}
-	return s.dropRPL(term, sid)
-}
-
-func (s *Store) dropERPL(term string, sid uint32) (int, error) {
-	// ERPL keys are term \0 sid doc end, so the sid's rows are exactly the
-	// (doc, end) tails under its prefix; no other sid's row is visited.
-	// Collect matching keys first: deleting while iterating would
-	// invalidate the cursor.
-	var keys [][]byte
-	dropped := 0
-	prefix := erplSIDPrefix(term, sid)
-	cur := s.ERPLs.Cursor()
-	ok, err := cur.SeekPrefix(prefix)
 	if err != nil {
 		return 0, err
 	}
+	s.stats.invalidate()
+	if _, err := s.Catalog.Delete(catalogKey(kind, term, sid)); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// deleteRows deletes every row of tree under prefix whose key tail is
+// tail bytes long, returning the entries the rows held (counted by
+// entries). Keys are collected first: deleting while iterating would
+// invalidate the cursor.
+func deleteRows(tree *storage.Tree, prefix []byte, tail int, entries func(v []byte) (int, error)) (int, error) {
+	var keys [][]byte
+	total := 0
+	cur := tree.Cursor()
+	ok, err := cur.SeekPrefix(prefix)
 	for ; ok; ok, err = cur.NextPrefix(prefix) {
-		if len(cur.Key()) != len(prefix)+8 {
+		if len(cur.Key()) != len(prefix)+tail {
 			continue
 		}
-		n, _, _, err := erplBlockBounds(cur.Value())
+		n, err := entries(cur.Value())
 		if err != nil {
 			return 0, err
 		}
-		dropped += n
+		total += n
 		keys = append(keys, append([]byte(nil), cur.Key()...))
 	}
 	if err != nil {
 		return 0, err
 	}
 	for _, k := range keys {
-		if _, err := s.ERPLs.Delete(k); err != nil {
+		if _, err := tree.Delete(k); err != nil {
 			return 0, err
 		}
 	}
-	s.stats.invalidate()
-	if _, err := s.Catalog.Delete(catalogKey(KindERPL, term, sid)); err != nil {
-		return 0, err
-	}
-	return dropped, nil
+	return total, nil
 }
 
-func (s *Store) dropRPL(term string, sid uint32) (int, error) {
+// erplRowCount reads an ERPL block's entry count from its header.
+func erplRowCount(v []byte) (int, error) {
+	n, _, _, err := erplBlockBounds(v)
+	return n, err
+}
+
+// deleteERPLRows deletes the (term, sid) ERPL rows. ERPL keys are term \0
+// sid doc end, so the sid's rows are exactly the (doc, end) tails under
+// its prefix; no other sid's row is visited.
+func (s *Store) deleteERPLRows(term string, sid uint32) (int, error) {
+	return deleteRows(s.ERPLs, erplSIDPrefix(term, sid), 8, erplRowCount)
+}
+
+// dropRPLEntries deletes the entries of term's RPL whose sid drop
+// reports, returning how many it deleted. Blocks holding none are left
+// alone; a block holding some is deleted and its surviving entries are
+// re-encoded into fresh blocks.
+func (s *Store) dropRPLEntries(term string, drop func(sid uint32) bool) (int, error) {
 	var keys [][]byte
 	var leftovers []RPLEntry
 	dropped := 0
@@ -83,12 +103,12 @@ func (s *Store) dropRPL(term string, sid uint32) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if !slices.ContainsFunc(entries, func(e RPLEntry) bool { return e.SID == sid }) {
+		if !slices.ContainsFunc(entries, func(e RPLEntry) bool { return drop(e.SID) }) {
 			continue
 		}
 		keys = append(keys, append([]byte(nil), cur.Key()...))
 		for _, e := range entries {
-			if e.SID == sid {
+			if drop(e.SID) {
 				dropped++
 			} else {
 				leftovers = append(leftovers, e)
@@ -103,20 +123,13 @@ func (s *Store) dropRPL(term string, sid uint32) (int, error) {
 			return 0, err
 		}
 	}
-	if len(leftovers) > 0 {
-		// Surviving entries from deleted blocks go back as fresh blocks.
-		// Their keys cannot collide with remaining rows: a first-entry key
-		// equal to a surviving row's key would mean the entry was stored
-		// twice.
-		for _, r := range EncodeRPLBlocks(term, leftovers) {
-			if err := s.RPLs.Put(r.Key, r.Value); err != nil {
-				return 0, err
-			}
+	// Surviving entries from deleted blocks go back as fresh blocks. Their
+	// keys cannot collide with remaining rows: a first-entry key equal to a
+	// surviving row's key would mean the entry was stored twice.
+	for _, r := range EncodeRPLBlocks(term, leftovers) {
+		if err := s.RPLs.Put(r.Key, r.Value); err != nil {
+			return 0, err
 		}
-	}
-	s.stats.invalidate()
-	if _, err := s.Catalog.Delete(catalogKey(KindRPL, term, sid)); err != nil {
-		return 0, err
 	}
 	return dropped, nil
 }
@@ -133,10 +146,7 @@ func DropAllLists(s *Store) (int, error) {
 		entries func(v []byte) (int, error)
 	}{
 		{s.RPLs, rplRowCount},
-		{s.ERPLs, func(v []byte) (int, error) {
-			n, _, _, err := erplBlockBounds(v)
-			return n, err
-		}},
+		{s.ERPLs, erplRowCount},
 		{s.Catalog, func([]byte) (int, error) { return 0, nil }},
 	} {
 		// Collect the keys first: deleting while iterating would

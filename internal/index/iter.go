@@ -177,7 +177,7 @@ type RPLIterator struct {
 
 // NewRPLIterator creates a descending-score iterator over term's RPL.
 func NewRPLIterator(s *Store, term string) *RPLIterator {
-	return &RPLIterator{store: s, term: term, prefix: termPrefix(term), cur: s.rplCursor()}
+	return &RPLIterator{store: s, term: term, prefix: termPrefix(term), cur: s.rplCursor(term)}
 }
 
 // rplKeyTailLess reports whether the 20-byte RPL key tail orders before
@@ -325,7 +325,7 @@ type ERPLIterator struct {
 
 // NewERPLIterator creates an iterator over the ERPL entries of (term, sid).
 func NewERPLIterator(s *Store, term string, sid uint32) *ERPLIterator {
-	return &ERPLIterator{prefix: erplSIDPrefix(term, sid), cur: s.erplCursor()}
+	return &ERPLIterator{prefix: erplSIDPrefix(term, sid), cur: s.erplCursor(term, sid)}
 }
 
 // step puts the segment's next row under the cursor and checks that it
@@ -494,7 +494,7 @@ func NewTermERPL(s *Store, term string, sids []uint32) (*TermERPL, error) {
 	for i, sid := range sids {
 		prefixes = appendERPLSIDPrefix(prefixes, term, sid)
 		it := &m.iters[i]
-		it.prefix, it.cur = prefixes[i*plen:(i+1)*plen:(i+1)*plen], s.erplCursor()
+		it.prefix, it.cur = prefixes[i*plen:(i+1)*plen:(i+1)*plen], s.erplCursor(term, sid)
 		e, ok, err := it.Next()
 		if err != nil {
 			return nil, err

@@ -13,8 +13,9 @@ import (
 // pager's B+trees. The trees stay the write path and the source of
 // truth: every list mutation lands there first and marks the segment
 // stale, so reads between a mutation and the next CommitLists fall back
-// to the trees (read-your-writes for the advisor's interleaved
-// measure/drop cycle). CommitLists rebuilds the segment from the trees,
+// to the trees (read-your-writes for a Materialize or drop that has not
+// committed yet; the advisor measures in a ListDraft and mutates only in
+// its final apply step). CommitLists rebuilds the segment from the trees,
 // stamps it with the list epoch, and flips the generation — after which
 // cursors are served decode-free from the mapping again.
 //
@@ -132,6 +133,9 @@ func (s *Store) CloseSegments() error {
 // with it and the now-stale generation can never be mistaken for
 // current after a restart.
 func (s *Store) noteListChange() error {
+	if s.draft != nil {
+		return errDraftView
+	}
 	if s.seg == nil {
 		return nil
 	}
@@ -186,9 +190,13 @@ func (s *Store) CommitLists() error {
 	return nil
 }
 
-// rplCursor returns the RPL read cursor: the mapped segment when it is
-// attached and in sync with the trees, the pager tree otherwise.
-func (s *Store) rplCursor() listCursor {
+// rplCursor returns the cursor term's RPL is read through: the draft's
+// rows on a draft view, else the mapped segment when it is attached and
+// in sync with the trees, the pager tree otherwise.
+func (s *Store) rplCursor(term string) listCursor {
+	if s.draft != nil {
+		return s.draft.rplCursor(term)
+	}
 	if s.seg != nil && s.segClean.Load() {
 		if c := s.seg.ListCursor(TableRPLs); c != nil {
 			return c
@@ -197,8 +205,11 @@ func (s *Store) rplCursor() listCursor {
 	return s.RPLs.Cursor()
 }
 
-// erplCursor is rplCursor for the ERPL table.
-func (s *Store) erplCursor() listCursor {
+// erplCursor is rplCursor for the (term, sid) ERPL.
+func (s *Store) erplCursor(term string, sid uint32) listCursor {
+	if s.draft != nil {
+		return s.draft.erplCursor(term, sid)
+	}
 	if s.seg != nil && s.segClean.Load() {
 		if c := s.seg.ListCursor(TableERPLs); c != nil {
 			return c

@@ -45,6 +45,12 @@ func (c *statCache) invalidate() {
 // memo when warm. A miss costs one Catalog point read and primes the
 // memo for every later caller.
 func (s *Store) ListStat(kind ListKind, term string, sid uint32) (ListStat, error) {
+	if d := s.draft; d != nil {
+		if r, ok := d.record(kind, term, sid); ok {
+			return listStat(true, r.Entries, r.Bytes), nil
+		}
+		return d.base.ListStat(kind, term, sid)
+	}
 	key := string(catalogKey(kind, term, sid))
 	c := &s.stats
 	c.mu.RLock()
@@ -61,10 +67,7 @@ func (s *Store) ListStat(kind ListKind, term string, sid uint32) (ListStat, erro
 	if err != nil {
 		return ListStat{}, err
 	}
-	st = ListStat{Built: built, Entries: entries, Bytes: bytes}
-	if entries > 0 {
-		st.Blocks = (entries + BlockTargetEntries - 1) / BlockTargetEntries
-	}
+	st = listStat(built, entries, bytes)
 	c.mu.Lock()
 	if c.lists == nil {
 		c.lists = make(map[string]ListStat)
@@ -72,6 +75,15 @@ func (s *Store) ListStat(kind ListKind, term string, sid uint32) (ListStat, erro
 	c.lists[key] = st
 	c.mu.Unlock()
 	return st, nil
+}
+
+// listStat is the ListStat of a catalog record.
+func listStat(built bool, entries int, bytes int64) ListStat {
+	st := ListStat{Built: built, Entries: entries, Bytes: bytes}
+	if entries > 0 {
+		st.Blocks = (entries + BlockTargetEntries - 1) / BlockTargetEntries
+	}
+	return st
 }
 
 // CoveredCached is Covered served from the stat cache: whether every
@@ -94,6 +106,9 @@ func (s *Store) CoveredCached(kind ListKind, terms []string, sids []uint32) (boo
 
 // TermCFCached is TermCF served from the stat cache.
 func (s *Store) TermCFCached(term string) (int64, error) {
+	if s.draft != nil {
+		return s.draft.base.TermCFCached(term)
+	}
 	c := &s.stats
 	c.mu.RLock()
 	cf, ok := c.cfs[term]

@@ -46,6 +46,10 @@ type Store struct {
 	// trees (see segment.go). Nil seg = pager backend.
 	seg      *segment.Store
 	segClean atomic.Bool
+
+	// draft, set on a ListDraft's view only, overlays the draft's lists
+	// and catalog records on the store's (see draft.go).
+	draft *ListDraft
 }
 
 // Open ensures all TReX tables exist in db and returns the store.
@@ -230,6 +234,57 @@ func (s *Store) WriteListRows(kind ListKind, rows []ListRow) error {
 	return nil
 }
 
+// ListBuild is one clause's RPL/ERPL lists, encoded but not yet written:
+// what retrieval.BuildLists produces, and what WriteLists writes into the
+// trees or ListDraft.Add holds in memory.
+type ListBuild struct {
+	// Terms are the clause's terms; Rows[j] holds term j's rows.
+	Terms []string
+	Rows  []TermRows
+	// SIDs are the clause's distinct sids, ascending.
+	SIDs []uint32
+	// RPL and ERPL report which kinds were built.
+	RPL, ERPL bool
+	// Records are the catalog records of every built (kind, term, sid)
+	// list, pairs without entries included, so coverage checks are exact.
+	Records []CatalogEntry
+}
+
+// TermRows are one term's encoded rows, each kind in key order; an ERPL
+// row holds a single sid.
+type TermRows struct {
+	RPL, ERPL []ListRow
+}
+
+// WriteLists writes a build's rows into the trees and its records into
+// the catalog. The caller drops any of the build's lists that is already
+// built first (Materialize does), so a rebuild can never leave stale rows
+// behind — a rebuilt block's key need not match the stale block's — and
+// each (term, sid) ERPL is written by one run.
+func (s *Store) WriteLists(b *ListBuild) error {
+	var rpl, erpl []ListRow
+	for _, tr := range b.Rows {
+		rpl = append(rpl, tr.RPL...)
+		erpl = append(erpl, tr.ERPL...)
+	}
+	if b.RPL {
+		if err := s.WriteListRows(KindRPL, rpl); err != nil {
+			return err
+		}
+	}
+	if b.ERPL {
+		if err := s.WriteListRows(KindERPL, erpl); err != nil {
+			return err
+		}
+	}
+	for _, r := range b.Records {
+		if err := s.MarkBuilt(r.Kind, r.Term, r.SID, r.Entries, r.Bytes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // --- materialization catalog ---
 
 // ListKind distinguishes the two redundant top-k index kinds.
@@ -266,6 +321,9 @@ func catalogKey(kind ListKind, term string, sid uint32) []byte {
 // MarkBuilt records that the (kind, term, sid) list is materialized, with
 // its entry count and approximate byte size (the advisor's space term).
 func (s *Store) MarkBuilt(kind ListKind, term string, sid uint32, entries int, bytes int64) error {
+	if s.draft != nil {
+		return errDraftView
+	}
 	var v [16]byte
 	binary.BigEndian.PutUint64(v[0:8], uint64(entries))
 	binary.BigEndian.PutUint64(v[8:16], uint64(bytes))
@@ -275,12 +333,24 @@ func (s *Store) MarkBuilt(kind ListKind, term string, sid uint32, entries int, b
 
 // IsBuilt reports whether the (kind, term, sid) list is materialized.
 func (s *Store) IsBuilt(kind ListKind, term string, sid uint32) (bool, error) {
+	if d := s.draft; d != nil {
+		if _, ok := d.record(kind, term, sid); ok {
+			return true, nil
+		}
+		return d.base.IsBuilt(kind, term, sid)
+	}
 	return s.Catalog.Has(catalogKey(kind, term, sid))
 }
 
 // BuiltSize returns the recorded entry count and byte size of a
 // materialized list; (0, 0) if absent.
 func (s *Store) BuiltSize(kind ListKind, term string, sid uint32) (int, int64, error) {
+	if d := s.draft; d != nil {
+		if r, ok := d.record(kind, term, sid); ok {
+			return r.Entries, r.Bytes, nil
+		}
+		return d.base.BuiltSize(kind, term, sid)
+	}
 	v, err := s.Catalog.Get(catalogKey(kind, term, sid))
 	if err == storage.ErrNotFound {
 		return 0, 0, nil

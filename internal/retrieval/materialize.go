@@ -9,13 +9,13 @@ import (
 	"trex/internal/score"
 )
 
-// MaterializeStats reports what a materialization run wrote.
+// MaterializeStats reports what a materialization run built.
 type MaterializeStats struct {
 	// Entries written per kind.
 	RPLEntries  int
 	ERPLEntries int
-	// Bytes is the exact on-disk footprint of the written rows (key +
-	// value bytes), the advisor's space term.
+	// Bytes is the exact footprint of the encoded rows (key + value
+	// bytes), the advisor's space term.
 	RPLBytes  int64
 	ERPLBytes int64
 	// Rows written per kind; with block encoding a row holds up to
@@ -49,38 +49,15 @@ func WantKinds(kinds []index.ListKind) (rpl, erpl bool, err error) {
 	return rpl, erpl, nil
 }
 
-// Materialize builds the redundant (term, sid) lists a clause needs, by
-// running ERA over the base tables and scoring each element — exactly how
-// the paper generates and extends the RPLs and ERPLs tables ("TReX also
-// uses ERA for generating or extending the RPLs and ERPLs tables").
-//
-// Every pass over the entries is linear. ERA emits each sid's elements in
-// (doc, end) order, so counting the entries of every (term, sid) pair
-// first lets each scored entry go straight to its final slot, sids
-// ascending within a term: each term's entries come out in ERPL key order.
-// RPL key order (score descending, then sid, doc, end) is a stable radix
-// sort of that slice on the inverted score (index.RadixScoreOrder). Both
-// encoders verify their input order in one pass and would sort entries
-// handed to them out of order, so the output never depends on ERA's order.
-// Lists are written as blocks (see internal/index's block codec): packed
-// ~128 entries per row and loaded through the storage bulk loader when
-// the tree is still empty.
-//
-// Any (term, sid) list that is already marked built for a requested kind
-// is dropped first, so a rebuild can never leave stale rows behind (a
+// Materialize builds the redundant (term, sid) lists a clause needs
+// (BuildLists) and writes them into the store (index.Store.WriteLists).
+// Any (term, sid) list that is already built for a requested kind is
+// dropped first, so a rebuild can never leave stale rows behind (a
 // rebuilt block's key need not match the stale block's). Each (term, sid)
 // ERPL is therefore written by one run, which is what lets its iterator
-// walk blocks without merging them. The catalog
-// records each list's entry count and exact encoded byte share, which is
-// what the self-management advisor budgets against.
-//
-// kinds selects which of the two list kinds to write; asking for neither
-// is ErrNoListKinds, returned before anything is read. Every (term, sid)
-// pair is marked in the catalog, including pairs that produced no
-// entries, so coverage checks are exact. The returned stats carry the ERA
-// pass's Stats.
+// walk blocks without merging them.
 func Materialize(st *index.Store, sids []uint32, terms []string, sc *score.Scorer, kinds ...index.ListKind) (*MaterializeStats, error) {
-	wantRPL, wantERPL, err := WantKinds(kinds)
+	b, ms, err := BuildLists(st, sids, terms, sc, kinds...)
 	if err != nil {
 		return nil, err
 	}
@@ -99,15 +76,56 @@ func Materialize(st *index.Store, sids []uint32, terms []string, sc *score.Score
 			}
 		}
 	}
+	if err := st.WriteLists(b); err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
 
+// BuildLists encodes the redundant (term, sid) lists a clause needs, by
+// running ERA over the base tables and scoring each element — exactly how
+// the paper generates and extends the RPLs and ERPLs tables ("TReX also
+// uses ERA for generating or extending the RPLs and ERPLs tables"). It
+// reads only base tables and writes nothing: the build goes to
+// index.Store.WriteLists or into an index.ListDraft.
+//
+// Every pass over the entries is linear. ERA emits each sid's elements in
+// (doc, end) order, so counting the entries of every (term, sid) pair
+// first lets each scored entry go straight to its final slot, sids
+// ascending within a term: each term's entries come out in ERPL key order.
+// RPL key order (score descending, then sid, doc, end) is a stable radix
+// sort of that slice on the inverted score (index.RadixScoreOrder). Both
+// encoders verify their input order in one pass and would sort entries
+// handed to them out of order, so the output never depends on ERA's order.
+// Lists are encoded as blocks (see internal/index's block codec), packed
+// ~128 entries per row.
+//
+// kinds selects which of the two list kinds to build; asking for neither
+// is ErrNoListKinds, returned before anything is read. The build carries a
+// catalog record for every (term, sid) pair, including pairs that
+// produced no entries, so coverage checks are exact; each record holds
+// the list's entry count and exact encoded byte share, which is what the
+// self-management advisor budgets against. The returned stats carry the
+// ERA pass's Stats.
+func BuildLists(st *index.Store, sids []uint32, terms []string, sc *score.Scorer, kinds ...index.ListKind) (*index.ListBuild, *MaterializeStats, error) {
+	wantRPL, wantERPL, err := WantKinds(kinds)
+	if err != nil {
+		return nil, nil, err
+	}
 	rows, era, err := ERACtx(context.Background(), st, sids, terms)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := layOutPairs(rows, sids, terms, sc)
 
 	ms := &MaterializeStats{ERA: era}
-	var rplRows, erplRows []index.ListRow
+	b := &index.ListBuild{
+		Terms: terms,
+		Rows:  make([]index.TermRows, len(terms)),
+		SIDs:  p.sids,
+		RPL:   wantRPL,
+		ERPL:  wantERPL,
+	}
 	// Per-(term, sid) byte shares, indexed as p's pairs are. An ERPL row
 	// holds one sid and is its sid's whole; an RPL row mixes sids and
 	// attributes its bytes per entry.
@@ -137,7 +155,9 @@ func Materialize(st *index.Store, sids []uint32, terms []string, sc *score.Score
 			for _, r := range encoded {
 				erplBytes[p.pair(j, r.Entries[0].SID)] += int64(len(r.Key) + len(r.Value))
 			}
-			erplRows = append(erplRows, encoded...)
+			b.Rows[j].ERPL = encoded
+			ms.ERPLRows += len(encoded)
+			ms.ERPLBytes += rowBytes(encoded)
 		}
 		if wantRPL {
 			index.RadixScoreOrder(byScore[lo:hi], scratch, p.entries[lo:hi])
@@ -147,38 +167,30 @@ func Materialize(st *index.Store, sids []uint32, terms []string, sc *score.Score
 					rplBytes[p.pair(j, r.Entries[i].SID)] += int64(r.EntryBytes[i])
 				}
 			}
-			rplRows = append(rplRows, encoded...)
+			b.Rows[j].RPL = encoded
+			ms.RPLRows += len(encoded)
+			ms.RPLBytes += rowBytes(encoded)
 		}
 	}
 	if wantRPL {
-		if err := st.WriteListRows(index.KindRPL, rplRows); err != nil {
-			return nil, err
-		}
-		ms.RPLRows, ms.RPLEntries, ms.RPLBytes = len(rplRows), len(p.entries), rowBytes(rplRows)
+		ms.RPLEntries = len(p.entries)
 	}
 	if wantERPL {
-		if err := st.WriteListRows(index.KindERPL, erplRows); err != nil {
-			return nil, err
-		}
-		ms.ERPLRows, ms.ERPLEntries, ms.ERPLBytes = len(erplRows), len(p.entries), rowBytes(erplRows)
+		ms.ERPLEntries = len(p.entries)
 	}
 	for j, t := range terms {
-		for _, sid := range sids {
-			i := p.pair(j, sid)
+		for s, sid := range p.sids {
+			i := j*len(p.sids) + s
 			n := p.off[i+1] - p.off[i]
 			if wantRPL {
-				if err := st.MarkBuilt(index.KindRPL, t, sid, n, rplBytes[i]); err != nil {
-					return nil, err
-				}
+				b.Records = append(b.Records, index.CatalogEntry{Kind: index.KindRPL, Term: t, SID: sid, Entries: n, Bytes: rplBytes[i]})
 			}
 			if wantERPL {
-				if err := st.MarkBuilt(index.KindERPL, t, sid, n, erplBytes[i]); err != nil {
-					return nil, err
-				}
+				b.Records = append(b.Records, index.CatalogEntry{Kind: index.KindERPL, Term: t, SID: sid, Entries: n, Bytes: erplBytes[i]})
 			}
 		}
 	}
-	return ms, nil
+	return b, ms, nil
 }
 
 // rowBytes is the key + value footprint of rows.

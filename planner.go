@@ -159,7 +159,7 @@ func toPlannerMethod(m Method) (planner.Method, bool) {
 // counts and term collection frequencies, all answered from memoized
 // catalog lookups, so steady-state planning reads zero storage pages.
 // Callers hold the engine read lock.
-func (e *Engine) planFeatures(sids []uint32, terms []string, kEval int) (planner.Features, error) {
+func planFeatures(st *index.Store, sids []uint32, terms []string, kEval int) (planner.Features, error) {
 	f := planner.Features{
 		NumSIDs:     len(sids),
 		NumTerms:    len(terms),
@@ -168,31 +168,31 @@ func (e *Engine) planFeatures(sids []uint32, terms []string, kEval int) (planner
 		ERPLCovered: true,
 	}
 	for _, t := range terms {
-		cf, err := e.store.TermCFCached(t)
+		cf, err := st.TermCFCached(t)
 		if err != nil {
 			return f, err
 		}
 		f.PostingsPositions += cf
 		for _, sid := range sids {
-			st, err := e.store.ListStat(index.KindRPL, t, sid)
+			ls, err := st.ListStat(index.KindRPL, t, sid)
 			if err != nil {
 				return f, err
 			}
-			if st.Built {
-				f.RPLEntries += int64(st.Entries)
-				f.RPLBytes += st.Bytes
-				f.RPLBlocks += int64(st.Blocks)
+			if ls.Built {
+				f.RPLEntries += int64(ls.Entries)
+				f.RPLBytes += ls.Bytes
+				f.RPLBlocks += int64(ls.Blocks)
 			} else {
 				f.RPLCovered = false
 			}
-			st, err = e.store.ListStat(index.KindERPL, t, sid)
+			ls, err = st.ListStat(index.KindERPL, t, sid)
 			if err != nil {
 				return f, err
 			}
-			if st.Built {
-				f.ERPLEntries += int64(st.Entries)
-				f.ERPLBytes += st.Bytes
-				f.ERPLBlocks += int64(st.Blocks)
+			if ls.Built {
+				f.ERPLEntries += int64(ls.Entries)
+				f.ERPLBytes += ls.Bytes
+				f.ERPLBlocks += int64(ls.Blocks)
 			} else {
 				f.ERPLCovered = false
 			}

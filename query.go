@@ -549,7 +549,7 @@ func (e *Engine) queryCore(ctx context.Context, src string, opts QueryOptions, t
 	// measured run — fixed method or planned — calibrates the model with
 	// it afterwards. When extraction fails on a storage error, auto runs
 	// ERA, which needs no lists.
-	feats, ferr := e.planFeatures(sids, terms, kEval)
+	feats, ferr := planFeatures(e.store, sids, terms, kEval)
 	featsOK := ferr == nil
 	var plan *planner.Decision
 	if m == MethodAuto {
