@@ -43,8 +43,10 @@ vet:
 # times: a shared-pair workload at half budget, most candidates dropped),
 # BENCH=ReplanAfterCommit/unlimited the same with every list kept,
 # BENCH=ServeLadder the read path's serve loop (what the qps of paper_grid
-# and cold_base times), BENCH=Create the base build (what setup_s and
-# peak_rss_mb are set by).
+# and cold_base times), BENCH=SupportQuery its costliest query (Table 1's
+# 202 at k = 10, whose support clause makes retrieval evaluate every
+# answer), BENCH=Create the base build (what setup_s and peak_rss_mb are
+# set by).
 # Look closer with
 #   go tool pprof -list 'MergeCtx' .bench_build/trex.test .bench_build/cpu.prof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/trex.test .bench_build/mem.prof
@@ -170,8 +172,9 @@ test-ingest:
 
 # fuzz gives each fuzz target — the block-row and posting-fragment
 # decoders (the current formats only), the list build's radix sort, the cursor's forward seek, the segment reader, the JSON
-# mapping, the index build's grouped tokenizer, the engine's answer ranking
-# (ROOT_FUZZ_TARGETS, in the root package) — a short bounded run:
+# mapping, the index build's grouped tokenizer, the four retrieval
+# strategies' agreement (RETRIEVAL_FUZZ_TARGETS), the engine's answer
+# ranking (ROOT_FUZZ_TARGETS, in the root package) — a short bounded run:
 # long enough to catch a regression, short enough for CI. The loop fails
 # fast: the first red target stops the run instead of burning the
 # remaining fuzz budget on a build that is already broken.
@@ -181,6 +184,7 @@ STORAGE_FUZZ_TARGETS = FuzzCursorSeekForward
 SEGMENT_FUZZ_TARGETS = FuzzReader
 JSON_FUZZ_TARGETS = FuzzJSONToElements
 XMLSCAN_FUZZ_TARGETS = FuzzDocTermGroups
+RETRIEVAL_FUZZ_TARGETS = FuzzStrategiesAgree
 ROOT_FUZZ_TARGETS = FuzzCombine
 fuzz:
 	@set -e; for t in $(ROOT_FUZZ_TARGETS); do \
@@ -206,6 +210,10 @@ fuzz:
 	for t in $(XMLSCAN_FUZZ_TARGETS); do \
 		echo "fuzz $$t"; \
 		$(GO) test ./internal/xmlscan -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done; \
+	for t in $(RETRIEVAL_FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test ./internal/retrieval -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # soak is the nightly differential-oracle long run: thousands of seeded
@@ -233,7 +241,7 @@ soak-cluster:
 # the segment-backend gate, the telemetry conformance gate, the
 # front-door gate, the query-planner gate, the cluster gate, the
 # JSON-universe gate, the streaming-ingest gate, and short codec,
-# cursor, segment-format, and JSON-mapping fuzz runs.
+# cursor, segment-format, JSON-mapping and strategy-agreement fuzz runs.
 ci: build vet test race test-segment test-telemetry test-frontdoor test-planner test-cluster test-json test-ingest fuzz
 
 # run-serve-autopilot is an end-to-end smoke test of the online

@@ -357,6 +357,28 @@ func BenchmarkServeLadder(b *testing.B) {
 	}
 }
 
+// BenchmarkSupportQuery measures Table 1's query 202 — the one with a
+// support clause, so its retrieval phase evaluates every answer whatever
+// k is asked — at k = 10 through MethodAuto, bypassing the result cache,
+// on the collection and lists of BenchmarkServeLadder. It is the ladder's
+// most expensive query. `make profile BENCH=SupportQuery` profiles it.
+func BenchmarkSupportQuery(b *testing.B) {
+	col := corpus.Generate(corpus.Config{Style: corpus.StyleIEEE, Docs: 1500, Seed: 20070415})
+	eng, err := trex.CreateMemory(col, &trex.Options{SegmentLists: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	selfManageTable1(b, eng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.QueryOpts(ieeeTable1[0], trex.QueryOptions{K: 10, Method: trex.MethodAuto, NoCache: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCreate measures the base build — what the benchmark's setup_s
 // and peak_rss_mb are set by: Create over a 1,500-document generated IEEE
 // collection (the size of paper_grid's), summary and base index, into a

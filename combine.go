@@ -49,10 +49,12 @@ func compareAnswers(a, b retrieval.Scored) int {
 // that contain it or that it contains, minus its negated-term penalties,
 // plus its phrase bonus. The support bonus needs the elements in position
 // order, but only when there is support: with none, the sweep that
-// attributes it is skipped. Answers are scored in retrieval order, which
-// every strategy returns in SortScored order, so when nothing moved a
-// score they are already ranked and keep of them are taken as they stand.
-// Otherwise a bounded heap keeps the best keep and only those are sorted.
+// attributes it is skipped. Answers are scored in retrieval order. A
+// strategy run at k > 0 returns SortScored order, so when nothing moved a
+// score they are already ranked and keep of them are taken as they stand;
+// one run at k <= 0 returns them in no order, and this is the only
+// ranking they get. Otherwise a bounded heap keeps the best keep and only
+// those are sorted.
 func (c *combiner) rank(scored []retrieval.Scored, keep int) ([]Answer, int, error) {
 	target := retrieval.NewSIDSet(c.targets)
 	n := 0

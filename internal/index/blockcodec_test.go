@@ -322,6 +322,8 @@ func TestERPLSkipToPrunesBlocks(t *testing.T) {
 	}
 }
 
+// TestTermERPLSkipToAndDrainBelow skips and drains a term's ERPL across
+// three sids as Merge reads it, one ERPLIterator Reset onto each sid.
 func TestTermERPLSkipToAndDrainBelow(t *testing.T) {
 	st := openEmptyStore(t)
 	var entries []RPLEntry
@@ -331,28 +333,33 @@ func TestTermERPLSkipToAndDrainBelow(t *testing.T) {
 		})
 	}
 	writeBlocks(t, st, KindERPL, "q", append([]RPLEntry(nil), entries...))
-	m, err := NewTermERPL(st, "q", []uint32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SkipTo(150, 0); err != nil {
-		t.Fatal(err)
-	}
-	e := m.Head()
-	if e == nil || e.Doc != 150 {
-		t.Fatalf("Head after SkipTo = %+v", e)
-	}
-	out, err := m.DrainBelow(170, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 60 { // docs 150..169, 3 sids each
-		t.Fatalf("drained %d entries, want 60", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if CompareDocEnd(out[i-1].Doc, out[i-1].End, out[i].Doc, out[i].End) >= 0 {
-			t.Fatalf("drain out of order at %d: %+v then %+v", i, out[i-1], out[i])
+	var it ERPLIterator
+	drained := 0
+	for _, sid := range []uint32{1, 2, 3} {
+		it.Reset(st, "q", sid)
+		if _, err := it.SkipTo(150, 0); err != nil {
+			t.Fatal(err)
 		}
+		e, ok, err := it.Peek()
+		if err != nil || !ok || e.Doc != 150 || e.SID != sid {
+			t.Fatalf("sid %d: Peek after SkipTo = %+v, %v, %v", sid, e, ok, err)
+		}
+		out, err := it.DrainBelow(170, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 20 { // docs 150..169
+			t.Fatalf("sid %d: drained %d entries, want 20", sid, len(out))
+		}
+		for i := 1; i < len(out); i++ {
+			if CompareDocEnd(out[i-1].Doc, out[i-1].End, out[i].Doc, out[i].End) >= 0 {
+				t.Fatalf("sid %d: drain out of order at %d: %+v then %+v", sid, i, out[i-1], out[i])
+			}
+		}
+		drained += len(out)
+	}
+	if drained != 60 { // docs 150..169, 3 sids each
+		t.Fatalf("drained %d entries, want 60", drained)
 	}
 }
 

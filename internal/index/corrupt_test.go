@@ -214,12 +214,16 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 			}
 		}
 	}
-	termERPL := func(st *Store) error {
-		m, err := NewTermERPL(st, "t", []uint32{1})
-		if err != nil {
+	// reset reads the list as Merge does: through an iterator that walked
+	// another sid's segment first and was Reset onto sid 1.
+	reset := func(st *Store) error {
+		var it ERPLIterator
+		it.Reset(st, "t", 2)
+		if err := drain(it.Next); err != nil {
 			return err
 		}
-		return drain(m.Next)
+		it.Reset(st, "t", 1)
+		return drain(it.Next)
 	}
 	for _, tc := range []struct {
 		reader, input string
@@ -233,7 +237,7 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 			_, err := NewERPLIterator(st, "t", 1).SkipTo(9, 0)
 			return err
 		}, true},
-		{"TermERPL", "old-list-row", oldList, termERPL, true},
+		{"ERPLIterator.Reset", "old-list-row", oldList, reset, true},
 		{"DropAllLists", "old-list-row", oldList, func(st *Store) error {
 			_, err := DropAllLists(st)
 			return err
@@ -251,7 +255,7 @@ func TestDecodersRejectCorruptInput(t *testing.T) {
 			_, err := NewERPLIterator(st, "t", 1).SkipTo(100, 0)
 			return err
 		}, false},
-		{"TermERPL", "overlapping-runs", overlapping, termERPL, false},
+		{"ERPLIterator.Reset", "overlapping-runs", overlapping, reset, false},
 	} {
 		st := tc.store(t)
 		mustError(t, tc.reader, tc.input, func() error {

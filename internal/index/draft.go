@@ -294,20 +294,11 @@ func (d *ListDraft) applyRPL(drops []ListID) ([]ListRow, int, error) {
 			rows = append(rows, dt.rows...)
 			continue
 		}
-		var entries []RPLEntry
-		for _, r := range dt.rows {
-			es, err := decodeRPLBlock(r.Value)
-			if err != nil {
-				return nil, 0, err
-			}
-			for _, e := range es {
-				if drop[e.SID] {
-					total++
-				} else {
-					entries = append(entries, e)
-				}
-			}
+		entries, n, err := mergeRPLRows(dt.rows, drop)
+		if err != nil {
+			return nil, 0, err
 		}
+		total += n
 		rows = append(rows, EncodeRPLBlocks(term, entries)...)
 	}
 	for _, term := range sortedKeys(bySID, strings.Compare) {
@@ -322,6 +313,32 @@ func (d *ListDraft) applyRPL(drops []ListID) ([]ListRow, int, error) {
 		total += n
 	}
 	return rows, total, nil
+}
+
+// mergeRPLRows decodes a term's RPL rows — in key order, each a sorted
+// run, the rows of different builds interleaving — into one run in RPL key
+// order, leaving out the entries of the dropped sids, which it counts.
+// Rows arrive by first key, so a row only ever merges with the tail of
+// the run built so far: that tail is merged, not the whole run sorted.
+func mergeRPLRows(rows []ListRow, drop map[uint32]bool) ([]RPLEntry, int, error) {
+	var out []RPLEntry
+	dropped := 0
+	for _, r := range rows {
+		es, err := decodeRPLBlock(r.Value)
+		if err != nil {
+			return nil, 0, err
+		}
+		n := len(es)
+		es = slices.DeleteFunc(es, func(e RPLEntry) bool { return drop[e.SID] })
+		dropped += n - len(es)
+		if len(es) == 0 {
+			continue
+		}
+		p, _ := slices.BinarySearchFunc(out, es[0], compareRPLEntries)
+		merged, _ := mergeRuns(out[p:], 0, es)
+		out = append(out[:p], merged...)
+	}
+	return out, dropped, nil
 }
 
 // applyERPL deletes every drafted (term, sid) ERPL's committed rows and

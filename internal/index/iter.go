@@ -325,7 +325,21 @@ type ERPLIterator struct {
 
 // NewERPLIterator creates an iterator over the ERPL entries of (term, sid).
 func NewERPLIterator(s *Store, term string, sid uint32) *ERPLIterator {
-	return &ERPLIterator{prefix: erplSIDPrefix(term, sid), cur: s.erplCursor(term, sid)}
+	it := &ERPLIterator{}
+	it.Reset(s, term, sid)
+	return it
+}
+
+// Reset points the iterator at the start of the (term, sid) segment,
+// keeping its key and decode buffers, so one iterator walks a term's
+// segments sid after sid without growing a buffer per segment. RowsRead
+// keeps counting across segments. The zero ERPLIterator is ready for
+// Reset.
+func (it *ERPLIterator) Reset(s *Store, term string, sid uint32) {
+	it.prefix = appendERPLSIDPrefix(it.prefix[:0], term, sid)
+	it.cur = s.erplCursor(term, sid)
+	it.started, it.done = false, false
+	it.buf, it.pi, it.floor = it.buf[:0], 0, 0
 }
 
 // step puts the segment's next row under the cursor and checks that it
@@ -461,214 +475,6 @@ func (it *ERPLIterator) SkipTo(doc, end uint32) (int, error) {
 			return skipped, err
 		}
 	}
-}
-
-// TermERPL merges the per-(term, sid) ERPL segments of one term across a
-// sid set into a single position-ordered stream — the first merge step of
-// Section 4's two-step evaluation. It is the per-term list L_i that the
-// Merge algorithm (Figure 3) consumes.
-//
-// The streams sit in a binary min-heap on their head entries, kept with a
-// sift-down written for erplStream: an entry costs no interface dispatch
-// and no boxing.
-type TermERPL struct {
-	h     []erplStream
-	iters []ERPLIterator
-}
-
-type erplStream struct {
-	head RPLEntry
-	it   *ERPLIterator
-}
-
-// NewTermERPL opens iterators for every sid and primes the merge heap. The
-// iterators and their key prefixes are carved from one allocation each: a
-// query over a wildcard step opens dozens of streams per term.
-func NewTermERPL(s *Store, term string, sids []uint32) (*TermERPL, error) {
-	m := &TermERPL{
-		h:     make([]erplStream, 0, len(sids)),
-		iters: make([]ERPLIterator, len(sids)),
-	}
-	plen := len(term) + 5
-	prefixes := make([]byte, 0, plen*len(sids))
-	for i, sid := range sids {
-		prefixes = appendERPLSIDPrefix(prefixes, term, sid)
-		it := &m.iters[i]
-		it.prefix, it.cur = prefixes[i*plen:(i+1)*plen:(i+1)*plen], s.erplCursor(term, sid)
-		e, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			m.h = append(m.h, erplStream{head: e, it: it})
-		}
-	}
-	m.heapify()
-	return m, nil
-}
-
-// heapify orders the streams as a min-heap on their heads.
-func (m *TermERPL) heapify() {
-	for i := len(m.h)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-}
-
-// siftDown restores the heap order below slot i: the stream there sinks
-// past every child with a smaller head, the children moving up into the
-// hole it leaves.
-func (m *TermERPL) siftDown(i int) {
-	h := m.h
-	if i >= len(h) {
-		return
-	}
-	x := h[i]
-	xKey := x.head.docEnd()
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		cKey := h[c].head.docEnd()
-		if r := c + 1; r < len(h) {
-			if rKey := h[r].head.docEnd(); rKey < cKey {
-				c, cKey = r, rKey
-			}
-		}
-		if cKey >= xKey {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = x
-}
-
-// Head returns the next entry across all sids without consuming it, nil
-// once every stream is exhausted. It points into the heap: the next call
-// that consumes entries invalidates it.
-func (m *TermERPL) Head() *RPLEntry {
-	if len(m.h) == 0 {
-		return nil
-	}
-	return &m.h[0].head
-}
-
-// Advance consumes the head: the top stream's next entry replaces it (or
-// the stream drops out at its end) and the heap order is restored. It must
-// not be called on an exhausted merge.
-func (m *TermERPL) Advance() error {
-	top := &m.h[0]
-	e, ok, err := top.it.Next()
-	if err != nil {
-		return err
-	}
-	if ok {
-		top.head = e
-	} else {
-		last := len(m.h) - 1
-		m.h[0] = m.h[last]
-		m.h = m.h[:last]
-	}
-	m.siftDown(0)
-	return nil
-}
-
-// Next returns the next entry across all sids in (doc, endpos) order.
-func (m *TermERPL) Next() (RPLEntry, bool, error) {
-	if len(m.h) == 0 {
-		return RPLEntry{}, false, nil
-	}
-	out := m.h[0].head
-	if err := m.Advance(); err != nil {
-		return RPLEntry{}, false, err
-	}
-	return out, true, nil
-}
-
-// secondHead returns the smallest head excluding the heap top — the point
-// up to which the top stream can be drained without consulting the heap.
-func (m *TermERPL) secondHead() (RPLEntry, bool) {
-	switch len(m.h) {
-	case 0, 1:
-		return RPLEntry{}, false
-	case 2:
-		return m.h[1].head, true
-	default:
-		a, b := m.h[1].head, m.h[2].head
-		if CompareDocEnd(b.Doc, b.End, a.Doc, a.End) < 0 {
-			return b, true
-		}
-		return a, true
-	}
-}
-
-// DrainBelow appends to out every remaining entry whose (doc, end)
-// orders strictly before the bound, in stream order, consuming them. The
-// top stream is drained in bulk up to min(bound, second head), costing
-// one sift per drained run instead of one per entry.
-func (m *TermERPL) DrainBelow(doc, end uint32, out []RPLEntry) ([]RPLEntry, error) {
-	for len(m.h) > 0 {
-		top := m.h[0]
-		if CompareDocEnd(top.head.Doc, top.head.End, doc, end) >= 0 {
-			break
-		}
-		bd, be := doc, end
-		if s, ok := m.secondHead(); ok && CompareDocEnd(s.Doc, s.End, bd, be) < 0 {
-			bd, be = s.Doc, s.End
-		}
-		out = append(out, top.head)
-		var err error
-		out, err = top.it.DrainBelow(bd, be, out)
-		if err != nil {
-			return out, err
-		}
-		if err := m.Advance(); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// SkipTo fast-forwards every sid stream to the first entry at or after
-// the target (doc, end), pruning whole blocks by their header bounds. It
-// returns the number of entries skipped without being decoded.
-func (m *TermERPL) SkipTo(doc, end uint32) (int, error) {
-	skipped := 0
-	// Streams whose head the skip passed refresh it; exhausted ones drop
-	// out; the heap order is restored at the end.
-	live := m.h[:0]
-	for _, s := range m.h {
-		if CompareDocEnd(s.head.Doc, s.head.End, doc, end) < 0 {
-			n, err := s.it.SkipTo(doc, end)
-			if err != nil {
-				return skipped, err
-			}
-			skipped += n
-			e, ok, err := s.it.Next()
-			if err != nil {
-				return skipped, err
-			}
-			if !ok {
-				continue
-			}
-			s.head = e
-		}
-		live = append(live, s)
-	}
-	m.h = live
-	m.heapify()
-	return skipped, nil
-}
-
-// RowsRead sums the storage rows fetched across every sid stream — the
-// cursor-step cost the block encoding amortizes.
-func (m *TermERPL) RowsRead() int {
-	total := 0
-	for i := range m.iters {
-		total += m.iters[i].RowsRead
-	}
-	return total
 }
 
 // CompareDocEnd orders two (doc, end) element identities.

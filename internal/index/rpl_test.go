@@ -1,6 +1,7 @@
 package index
 
 import (
+	"reflect"
 	"testing"
 
 	"trex/internal/storage"
@@ -95,6 +96,11 @@ func TestERPLIteratorPositionOrderPerSID(t *testing.T) {
 	}
 }
 
+// TestTermERPLMergesAcrossSIDs reads a term's ERPL across a sid set the
+// way Merge does: one ERPLIterator Reset onto each sid's segment in turn.
+// Each segment comes out in position order — the second starts below the
+// first one's end, so Reset must forget the row floor — and an entry of a
+// sid outside the set never does.
 func TestTermERPLMergesAcrossSIDs(t *testing.T) {
 	st := openEmptyStore(t)
 	// Three sids with interleaved positions.
@@ -107,43 +113,54 @@ func TestTermERPLMergesAcrossSIDs(t *testing.T) {
 		{Score: 6, SID: 4, Doc: 0, End: 1}, // not in the query's sid set
 	}
 	writeBlocks(t, st, KindERPL, "t", puts)
-	m, err := NewTermERPL(st, "t", []uint32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ends []uint32
-	var docs []uint32
-	for {
-		e, ok, err := m.Next()
-		if err != nil {
-			t.Fatal(err)
+	var it ERPLIterator
+	var got []RPLEntry
+	for _, sid := range []uint32{1, 2, 3} {
+		it.Reset(st, "t", sid)
+		for {
+			e, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, e)
 		}
-		if !ok {
-			break
-		}
-		ends = append(ends, e.End)
-		docs = append(docs, e.Doc)
 	}
-	wantEnds := []uint32{10, 50, 200, 400, 5}
-	wantDocs := []uint32{0, 0, 0, 0, 1}
-	if len(ends) != len(wantEnds) {
-		t.Fatalf("merged %d entries, want %d (%v)", len(ends), len(wantEnds), ends)
+	if want := puts[:5]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %+v, want %+v", got, want)
 	}
-	for i := range wantEnds {
-		if ends[i] != wantEnds[i] || docs[i] != wantDocs[i] {
-			t.Fatalf("merge order: ends=%v docs=%v", ends, docs)
-		}
+	if it.RowsRead != 3 {
+		t.Fatalf("RowsRead = %d across three one-row segments", it.RowsRead)
 	}
 }
 
+// TestTermERPLEmptySIDSet: a term's ERPL over sids that hold none of it
+// yields nothing, from a zero iterator and from one Reset off a segment it
+// had not finished.
 func TestTermERPLEmptySIDSet(t *testing.T) {
 	st := openEmptyStore(t)
-	m, err := NewTermERPL(st, "t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := m.Next(); ok || err != nil {
-		t.Fatalf("empty merge Next = %v, %v", ok, err)
+	writeBlocks(t, st, KindERPL, "t", []RPLEntry{{Score: 1, SID: 1, Doc: 0, End: 10}, {Score: 1, SID: 1, Doc: 0, End: 20}})
+	var it ERPLIterator
+	for _, probe := range []struct {
+		term string
+		sid  uint32
+	}{{"t", 2}, {"t", 1}, {"u", 1}, {"t", 3}} {
+		it.Reset(st, probe.term, probe.sid)
+		e, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.term == "t" && probe.sid == 1 {
+			if !ok || e.End != 10 {
+				t.Fatalf("(t, 1) Next = %+v, %v", e, ok)
+			}
+			continue // leave the segment half read
+		}
+		if ok {
+			t.Fatalf("(%s, %d) Next = %+v on an empty segment", probe.term, probe.sid, e)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package index
 
-// Block-boundary edge tests for ERPLIterator.SkipTo / DrainBelow and
-// their multi-sid TermERPL counterparts: skip targets exactly at a block
+// Block-boundary edge tests for ERPLIterator.SkipTo / DrainBelow, alone
+// and across the sids of a term's ERPL: skip targets exactly at a block
 // header's (maxDoc, maxEnd) bound, one past it, a one-entry trailing
 // block, and the count-0 "empty block" a well-formed encoder can never
 // emit (it must decode as corrupt, not as silently empty).
@@ -9,7 +9,6 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -188,13 +187,15 @@ func TestERPLIteratorDrainBelowBlockBounds(t *testing.T) {
 	}
 }
 
-// TestTermERPLSkipDrainAcrossSIDs merges three sid streams of 300 entries
-// (two full blocks and a partial one each, sid 2 written in a run of its
-// own) and checks SkipTo / DrainBelow against a brute-force reference.
+// TestTermERPLSkipDrainAcrossSIDs reads a term's ERPL over three sids of
+// 300 entries (two full blocks and a partial one each, sid 2 written in a
+// run of its own) as Merge does, one ERPLIterator Reset onto each sid, and
+// checks SkipTo / DrainBelow against a brute-force reference.
 func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 	s := skipDrainStore(t)
+	sids := []uint32{1, 2, 3}
 	var all []RPLEntry
-	for _, sid := range []uint32{1, 2, 3} {
+	for _, sid := range sids {
 		var stream []RPLEntry
 		for i := uint32(0); i < 300; i++ {
 			stream = append(stream, sdEnt(sid, sid-1+3*i))
@@ -206,79 +207,81 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 			writeBlocked(t, s, "tt", stream, []int{128, 128, 44})
 		}
 	}
-	// The merged stream is (doc, end)-ordered across sids — unlike a
-	// single segment's (sid, doc, end) key order.
-	sort.Slice(all, func(i, j int) bool {
-		return CompareDocEnd(all[i].Doc, all[i].End, all[j].Doc, all[j].End) < 0
-	})
-
-	expectFrom := func(doc, end uint32) []RPLEntry {
+	// expect returns sid's entries at or after (doc, end), or before it.
+	expect := func(sid, doc, end uint32, after bool) []RPLEntry {
 		var out []RPLEntry
 		for _, e := range all {
-			if CompareDocEnd(e.Doc, e.End, doc, end) >= 0 {
+			if e.SID == sid && (CompareDocEnd(e.Doc, e.End, doc, end) >= 0) == after {
 				out = append(out, e)
 			}
 		}
 		return out
 	}
+	var it ERPLIterator // one iterator for every sid, as Merge keeps one per term
 
 	t.Run("drain below then next", func(t *testing.T) {
-		m, err := NewTermERPL(s, "tt", []uint32{1, 2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := m.DrainBelow(75, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := len(all) - len(expectFrom(75, 0))
-		if len(out) != want {
-			t.Fatalf("drained %d entries, want %d", len(out), want)
-		}
-		for i, e := range out {
-			if e != all[i] {
-				t.Fatalf("drained entry %d = %+v, want %+v", i, e, all[i])
+		for _, sid := range sids {
+			it.Reset(s, "tt", sid)
+			out, err := it.DrainBelow(75, 0, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, wantE := range expectFrom(75, 0) {
-			e, ok, err := m.Next()
-			if err != nil || !ok || e != wantE {
-				t.Fatalf("after drain, next = %+v ok=%v err=%v, want %+v", e, ok, err, wantE)
+			want := expect(sid, 75, 0, false)
+			if len(out) != len(want) || len(want) == 0 {
+				t.Fatalf("sid %d: drained %d entries, want %d", sid, len(out), len(want))
+			}
+			for i, e := range out {
+				if e != want[i] {
+					t.Fatalf("sid %d: drained entry %d = %+v, want %+v", sid, i, e, want[i])
+				}
+			}
+			for _, wantE := range expect(sid, 75, 0, true) {
+				e, ok, err := it.Next()
+				if err != nil || !ok || e != wantE {
+					t.Fatalf("sid %d: after drain, next = %+v ok=%v err=%v, want %+v", sid, e, ok, err, wantE)
+				}
+			}
+			if e, ok, err := it.Next(); ok || err != nil {
+				t.Fatalf("sid %d: Next past the segment = %+v, %v, %v", sid, e, ok, err)
 			}
 		}
 	})
 
 	t.Run("skip prunes whole blocks per stream", func(t *testing.T) {
-		m, err := NewTermERPL(s, "tt", []uint32{1, 2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Priming the heads decoded each stream's first block, so those
-		// entries drop buffered. Block 1 of every stream (docs up to
-		// sid-1+765) lies wholly below doc 800 and must skip undecoded
-		// — 128 entries each.
-		skipped, err := m.SkipTo(800, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := expectFrom(800, 0)
-		remaining := 0
-		for ok := true; ok; {
-			var e RPLEntry
-			var err error
-			e, ok, err = m.Next()
+		skipped := 0
+		for _, sid := range sids {
+			it.Reset(s, "tt", sid)
+			// Merge reads each segment's head first, which decodes its
+			// first block, so those entries drop buffered. Block 1 of
+			// every segment (docs up to sid-1+765) lies wholly below doc
+			// 800 and must skip undecoded — 128 entries each.
+			if _, _, err := it.Peek(); err != nil {
+				t.Fatal(err)
+			}
+			n, err := it.SkipTo(800, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok {
-				if e != want[remaining] {
-					t.Fatalf("entry %d after skip = %+v, want %+v", remaining, e, want[remaining])
+			skipped += n
+			want := expect(sid, 800, 0, true)
+			remaining := 0
+			for ok := true; ok; {
+				var e RPLEntry
+				var err error
+				e, ok, err = it.Next()
+				if err != nil {
+					t.Fatal(err)
 				}
-				remaining++
+				if ok {
+					if e != want[remaining] {
+						t.Fatalf("sid %d: entry %d after skip = %+v, want %+v", sid, remaining, e, want[remaining])
+					}
+					remaining++
+				}
 			}
-		}
-		if remaining != len(want) {
-			t.Fatalf("%d entries after skip, want %d", remaining, len(want))
+			if remaining != len(want) {
+				t.Fatalf("sid %d: %d entries after skip, want %d", sid, remaining, len(want))
+			}
 		}
 		if skipped != 3*128 {
 			t.Fatalf("skipped %d entries undecoded, want 384: block 1 of every stream", skipped)
@@ -286,19 +289,18 @@ func TestTermERPLSkipDrainAcrossSIDs(t *testing.T) {
 	})
 
 	t.Run("skip past every stream exhausts the merge", func(t *testing.T) {
-		m, err := NewTermERPL(s, "tt", []uint32{1, 2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.SkipTo(10000, 0); err != nil {
-			t.Fatal(err)
-		}
-		if e := m.Head(); e != nil {
-			t.Fatalf("head after full skip = %+v", *e)
-		}
-		out, err := m.DrainBelow(20000, 0, nil)
-		if err != nil || len(out) != 0 {
-			t.Fatalf("drain after full skip = %d entries, err %v", len(out), err)
+		for _, sid := range sids {
+			it.Reset(s, "tt", sid)
+			if _, err := it.SkipTo(10000, 0); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok, err := it.Peek(); ok || err != nil {
+				t.Fatalf("sid %d: head after full skip = %+v, %v", sid, e, err)
+			}
+			out, err := it.DrainBelow(20000, 0, nil)
+			if err != nil || len(out) != 0 {
+				t.Fatalf("sid %d: drain after full skip = %d entries, err %v", sid, len(out), err)
+			}
 		}
 	})
 }
@@ -350,7 +352,8 @@ func TestEmptyTrailingBlockIsCorrupt(t *testing.T) {
 
 // TestERPLNextDoesNotAllocate: once an iterator's buffer has grown to
 // block size, a scan decodes every further block into it — Next allocates
-// nothing per entry or per block, alone or under TermERPL's heap.
+// nothing per entry or per block, on its first segment or on the next one
+// it was Reset onto.
 func TestERPLNextDoesNotAllocate(t *testing.T) {
 	s := skipDrainStore(t)
 	const perSID = 40 * BlockTargetEntries
@@ -363,12 +366,13 @@ func TestERPLNextDoesNotAllocate(t *testing.T) {
 	writeBlocks(t, s, KindERPL, "tt", entries)
 
 	it := NewERPLIterator(s, "tt", 2)
-	m, err := NewTermERPL(s, "tt", []uint32{1, 2, 3})
-	if err != nil {
+	reset := NewERPLIterator(s, "tt", 1)
+	if _, _, err := reset.Peek(); err != nil {
 		t.Fatal(err)
 	}
-	for name, next := range map[string]func() (RPLEntry, bool, error){"ERPLIterator": it.Next, "TermERPL": m.Next} {
-		for i := 0; i < 3*2*BlockTargetEntries; i++ { // two blocks of every stream: the buffers are warm
+	reset.Reset(s, "tt", 3)
+	for name, next := range map[string]func() (RPLEntry, bool, error){"ERPLIterator": it.Next, "Reset ERPLIterator": reset.Next} {
+		for i := 0; i < 3*2*BlockTargetEntries; i++ { // six blocks: the buffer is warm
 			if _, ok, err := next(); err != nil || !ok {
 				t.Fatalf("%s: warm-up Next = %v, %v", name, ok, err)
 			}

@@ -7,8 +7,9 @@
 // the first run's surviving blocks; and "segment", the v2 lists served
 // from an immutable mmap'd segment instead of the pager — and asserts
 // that TA, NRA, and Merge return rankings byte-identical to the
-// exhaustive baseline on all of them. No tolerance: the codecs
-// round-trip scores exactly, so any drift is a bug.
+// exhaustive baseline on all of them — at k <= 0, where no strategy
+// promises an order, the same multiset of answers and scores. No
+// tolerance: the codecs round-trip scores exactly, so any drift is a bug.
 //
 // A fifth "Auto" column routes each case through the query planner: a
 // per-case-calibrated planner picks a method from the case's feature
@@ -29,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"trex/internal/corpus"
@@ -162,10 +164,6 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 		return nil, err
 	}
 
-	kk := c.K
-	if kk <= 0 {
-		kk = 1 << 20
-	}
 	for _, s := range stores {
 		sc, err := s.st.NewScorer(c.Terms)
 		if err != nil {
@@ -176,19 +174,19 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 			run  func() ([]retrieval.Scored, error)
 		}{
 			{"TA", func() ([]retrieval.Scored, error) {
-				r, _, err := retrieval.TACtx(context.Background(), s.st, c.SIDs, c.Terms, sc, kk)
+				r, _, err := retrieval.TACtx(context.Background(), s.st, c.SIDs, c.Terms, sc, c.K)
 				return r, err
 			}},
 			{"NRA", func() ([]retrieval.Scored, error) {
-				r, _, err := retrieval.NRACtx(context.Background(), s.st, c.SIDs, c.Terms, kk)
+				r, _, err := retrieval.NRACtx(context.Background(), s.st, c.SIDs, c.Terms, c.K)
 				return r, err
 			}},
 			{"Merge", func() ([]retrieval.Scored, error) {
-				r, _, err := retrieval.MergeCtx(context.Background(), s.st, c.SIDs, c.Terms, kk)
+				r, _, err := retrieval.MergeCtx(context.Background(), s.st, c.SIDs, c.Terms, c.K)
 				return r, err
 			}},
 			{"Auto", func() ([]retrieval.Scored, error) {
-				return runAuto(s.st, c, sc, kk)
+				return runAuto(s.st, c, sc)
 			}},
 		}
 		for _, strat := range runs {
@@ -199,7 +197,7 @@ func check(c Case, perturb perturbFunc) (*Mismatch, error) {
 			if perturb != nil {
 				got = perturb(s.name, strat.name, got)
 			}
-			if d := diffRankings(base, got); d != "" {
+			if d := diffRankings(c.K, base, got); d != "" {
 				return &Mismatch{Case: c, Store: s.name, Strategy: strat.name, Detail: d}, nil
 			}
 		}
@@ -257,7 +255,7 @@ func caseFeatures(st *index.Store, c Case) (planner.Features, error) {
 // predicted-cheapest (when eligible), decides the method, and the oracle
 // runs exactly that. The seed rotation walks all four routes across a
 // sweep; ineligible preferences fall back to the planner's own ranking.
-func runAuto(st *index.Store, c Case, sc *score.Scorer, kk int) ([]retrieval.Scored, error) {
+func runAuto(st *index.Store, c Case, sc *score.Scorer) ([]retrieval.Scored, error) {
 	f, err := caseFeatures(st, c)
 	if err != nil {
 		return nil, err
@@ -270,16 +268,16 @@ func runAuto(st *index.Store, c Case, sc *score.Scorer, kk int) ([]retrieval.Sco
 	d := pl.Plan(f)
 	switch d.Method {
 	case planner.TA:
-		r, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
+		r, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, c.K)
 		return r, err
 	case planner.NRA:
-		r, _, err := retrieval.NRACtx(context.Background(), st, c.SIDs, c.Terms, kk)
+		r, _, err := retrieval.NRACtx(context.Background(), st, c.SIDs, c.Terms, c.K)
 		return r, err
 	case planner.Merge:
-		r, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, kk)
+		r, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, c.K)
 		return r, err
 	default:
-		r, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
+		r, _, err := retrieval.ExhaustiveTopKCtx(context.Background(), st, c.SIDs, c.Terms, sc, c.K)
 		return r, err
 	}
 }
@@ -464,22 +462,18 @@ func checkRecovered(c Case, base []retrieval.Scored, db *storage.DB, dir string,
 	if err != nil {
 		return nil, err
 	}
-	kk := c.K
-	if kk <= 0 {
-		kk = 1 << 20
-	}
-	ta, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
+	ta, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, c.K)
 	if err != nil {
 		return nil, err
 	}
-	if d := diffRankings(base, ta); d != "" {
+	if d := diffRankings(c.K, base, ta); d != "" {
 		return detail("TA after recovery: " + d), nil
 	}
-	mg, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, kk)
+	mg, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, c.K)
 	if err != nil {
 		return nil, err
 	}
-	if d := diffRankings(base, mg); d != "" {
+	if d := diffRankings(c.K, base, mg); d != "" {
 		return detail("Merge after recovery: " + d), nil
 	}
 	if ss.RowsRead() == 0 && len(base) > 0 {
@@ -488,9 +482,16 @@ func checkRecovered(c Case, base []retrieval.Scored, db *storage.DB, dir string,
 	return nil, nil
 }
 
-// diffRankings reports the first divergence between two rankings, or ""
-// when they are identical in length, elements, and exact scores.
-func diffRankings(want, got []retrieval.Scored) string {
+// diffRankings reports the first divergence between two results of a
+// run at k, or "" when they are identical in length, elements, and exact
+// scores. A run at k <= 0 promises every answer in no particular order,
+// so both sides are compared in SortScored order: as multisets.
+func diffRankings(k int, want, got []retrieval.Scored) string {
+	if k <= 0 {
+		want, got = slices.Clone(want), slices.Clone(got)
+		retrieval.SortScored(want)
+		retrieval.SortScored(got)
+	}
 	if len(want) != len(got) {
 		return fmt.Sprintf("%d results, want %d", len(got), len(want))
 	}

@@ -48,17 +48,13 @@ func checkUniverse(c Case, perturb perturbFunc) (*Mismatch, error) {
 		return nil, err
 	}
 
-	kk := c.K
-	if kk <= 0 {
-		kk = 1 << 20
-	}
 	universes := []struct {
 		name string
 		col  *corpus.Collection
 	}{{"json", jcol}, {"xml", xcol}}
 	for _, u := range universes {
 		for _, format := range storeFormats {
-			m, err := checkUniverseStore(c, u.name, format, u.col, base, kk, perturb)
+			m, err := checkUniverseStore(c, u.name, format, u.col, base, perturb)
 			if m != nil || err != nil {
 				return m, err
 			}
@@ -69,7 +65,7 @@ func checkUniverse(c Case, perturb perturbFunc) (*Mismatch, error) {
 
 // checkUniverseStore builds one (universe, store format) cell and runs
 // all four strategies against the shared baseline.
-func checkUniverseStore(c Case, universe, format string, col *corpus.Collection, base []retrieval.Scored, kk int, perturb perturbFunc) (*Mismatch, error) {
+func checkUniverseStore(c Case, universe, format string, col *corpus.Collection, base []retrieval.Scored, perturb perturbFunc) (*Mismatch, error) {
 	st, closeSt, err := buildStoreFrom(col, c, format)
 	if err != nil {
 		return nil, err
@@ -89,15 +85,15 @@ func checkUniverseStore(c Case, universe, format string, col *corpus.Collection,
 			return r, err
 		}},
 		{"TA", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, kk)
+			r, _, err := retrieval.TACtx(context.Background(), st, c.SIDs, c.Terms, sc, c.K)
 			return r, err
 		}},
 		{"NRA", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.NRACtx(context.Background(), st, c.SIDs, c.Terms, kk)
+			r, _, err := retrieval.NRACtx(context.Background(), st, c.SIDs, c.Terms, c.K)
 			return r, err
 		}},
 		{"Merge", func() ([]retrieval.Scored, error) {
-			r, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, kk)
+			r, _, err := retrieval.MergeCtx(context.Background(), st, c.SIDs, c.Terms, c.K)
 			return r, err
 		}},
 	}
@@ -109,7 +105,7 @@ func checkUniverseStore(c Case, universe, format string, col *corpus.Collection,
 		if perturb != nil {
 			got = perturb(cell, strat.name, got)
 		}
-		if d := diffRankings(base, got); d != "" {
+		if d := diffRankings(c.K, base, got); d != "" {
 			return &Mismatch{Case: c, Store: cell, Strategy: strat.name, Detail: d, Universe: true}, nil
 		}
 	}

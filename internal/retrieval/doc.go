@@ -14,10 +14,12 @@
 //     ideal, zero-cost heap) can be reported as in the paper's figures.
 //
 //   - Merge (Figure 3), which merges position-ordered ERPLs across terms,
-//     accumulates each element's combined score, and sorts the result.
+//     sid by sid, and accumulates each element's combined score.
 //
 // All strategies return the same answers; they differ in which redundant
 // indexes they need and where their time goes — which is exactly what the
 // paper's experiments measure and what the self-managing index advisor
-// exploits.
+// exploits. At k > 0 each returns the k best in SortScored order; at
+// k <= 0 each returns every answer in no particular order, and the caller
+// ranks them (the engine's combine does, once).
 package retrieval

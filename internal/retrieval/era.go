@@ -182,10 +182,10 @@ func ERACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string)
 }
 
 // ExhaustiveTopKCtx evaluates a clause with ERACtx and ranks the results
-// with the scorer, returning the top k (all results when k <= 0). This
-// is the baseline every query can fall back to: it needs no redundant
-// indexes. An expired deadline yields the ranked best-effort prefix with
-// Stats.Approximate set.
+// with the scorer, returning the top k in SortScored order (all results,
+// unordered, when k <= 0). This is the baseline every query can fall back
+// to: it needs no redundant indexes. An expired deadline yields the
+// best-effort answers with Stats.Approximate set.
 func ExhaustiveTopKCtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, sc *score.Scorer, k int) ([]Scored, *Stats, error) {
 	start := time.Now()
 	rows, stats, err := ERACtx(ctx, st, sids, terms)
@@ -228,14 +228,15 @@ func SortScored(s []Scored) {
 }
 
 // ranking collects a run's answers and hands back the k best in SortScored
-// order — all of them when k <= 0. With a positive k it never holds more
-// than k: the first k are kept as they come and heapified once, worst at
-// the root, and each later answer either loses to the root in one
-// comparison or replaces it. That is n comparisons and a sort of k instead
+// order — all of them, unordered, when k <= 0: the engine's combine ranks
+// them, and ranking them here too was a second sort of every answer. With
+// a positive k it never holds more than k: the first k are kept as they
+// come and heapified once, worst at the root, and each later answer either
+// loses to the root in one comparison or replaces it. That is n comparisons and a sort of k instead
 // of a sort of n, and the same (score desc, doc, end) prefix. The heap's
 // operations are not reported in Stats.HeapOps: CostProxy prices ERA's and
-// Merge's ranking as the final sort, and the advisor's plans are functions
-// of that number.
+// Merge's ranking as a final sort of every answer, and the advisor's plans
+// are functions of that number.
 type ranking struct {
 	k     int
 	items []Scored
@@ -258,9 +259,12 @@ func (r *ranking) add(s Scored) {
 	}
 }
 
-// sorted returns the kept answers best-first; the ranking is spent.
+// sorted returns the kept answers, best-first when k > 0; the ranking is
+// spent.
 func (r *ranking) sorted() []Scored {
-	SortScored(r.items)
+	if r.k > 0 {
+		SortScored(r.items)
+	}
 	return r.items
 }
 

@@ -2,27 +2,58 @@ package retrieval
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"trex/internal/index"
 )
 
 // nraCand is one NRA candidate: an element with its [worst, best] score
-// bounds, tracked via a bitmask of the lists it has been seen in. The
-// per-term contributions are kept so the final score can be re-summed in
-// canonical term order — bit-for-bit identical to what ERA/TA compute,
-// which keeps tie-breaking consistent across methods.
+// bounds, tracked via a bitmask of the lists it has been seen in.
 type nraCand struct {
-	elem   index.Element
-	seen   uint64
-	worst  float64
-	scores []float64
+	elem  index.Element
+	seen  uint64
+	worst float64
 }
 
-// exactScore sums the contributions in term order.
-func (c *nraCand) exactScore() float64 {
+// nraCands holds a run's candidates in two slabs: cands in first-seen
+// order, and scores, whose row i — scores[i*n:(i+1)*n] — keeps candidate
+// i's per-term contributions so the final score can be re-summed in
+// canonical term order, bit-for-bit identical to what ERA/TA compute,
+// which keeps tie-breaking consistent across methods. at maps an
+// element's packed (doc, end) to its slot. A candidate costs no
+// allocation of its own: the slabs and the map grow by doubling.
+type nraCands struct {
+	n      int
+	cands  []nraCand
+	scores []float64
+	at     map[uint64]int32
+}
+
+// absorb records that list j yielded e.
+func (cs *nraCands) absorb(j int, e index.RPLEntry) {
+	key := uint64(e.Doc)<<32 | uint64(e.End)
+	i, ok := cs.at[key]
+	if !ok {
+		i = int32(len(cs.cands))
+		cs.at[key] = i
+		cs.cands = append(cs.cands, nraCand{elem: e.Element()})
+		cs.scores = slices.Grow(cs.scores, cs.n)[:len(cs.scores)+cs.n]
+		clear(cs.scores[len(cs.scores)-cs.n:])
+	}
+	c := &cs.cands[i]
+	bit := uint64(1) << uint(j)
+	if c.seen&bit == 0 {
+		c.seen |= bit
+		c.worst += e.Score
+		cs.scores[int(i)*cs.n+j] = e.Score
+	}
+}
+
+// exactScore sums candidate i's contributions in term order.
+func (cs *nraCands) exactScore(i int) float64 {
 	var total float64
-	for _, s := range c.scores {
+	for _, s := range cs.scores[i*cs.n : (i+1)*cs.n] {
 		total += s
 	}
 	return total
@@ -38,19 +69,18 @@ func (c *nraCand) exactScore() float64 {
 // full RPL, so exhaustion proves absence).
 //
 // The returned ranking is exact and identical to TA/Merge/ERA. Queries
-// are limited to 64 terms (far beyond NEXI practice).
+// are limited to 64 terms (far beyond NEXI practice). k <= 0 evaluates in
+// full: NRA reads its lists to the end, skips the stop test, and returns
+// every candidate, in no particular order.
 //
 // ctx is polled once per sorted-access round. On an expired deadline it
-// ranks the candidates accumulated so far by their resolved
-// contributions and returns them with Stats.Approximate set; on
-// cancellation it returns the context's error.
+// scores the candidates accumulated so far by their resolved
+// contributions and returns them (the best k, ranked, when k > 0) with
+// Stats.Approximate set; on cancellation it returns the context's error.
 func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, k int) ([]Scored, *Stats, error) {
 	start := time.Now()
 	io := st.IOStats()
 	stats := &Stats{ListReads: make([]int, len(terms)), ListTotals: make([]int, len(terms))}
-	if k <= 0 {
-		k = 1
-	}
 	n := len(terms)
 	if n == 0 || len(sids) == 0 {
 		stats.Elapsed = time.Since(start)
@@ -75,24 +105,23 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 	for j, t := range terms {
 		iters[j] = index.NewRPLIterator(st, t)
 	}
-	cands := make(map[uint64]*nraCand)
+	// A full evaluation reads every list to the end, so it meets at least
+	// as many candidates as the longest list holds: the slabs and the map
+	// start that large. A top-k run may stop early and grows them instead.
+	var hint int
+	if k <= 0 {
+		hint = slices.Max(stats.ListTotals[:n])
+	}
+	cs := &nraCands{
+		n:      n,
+		cands:  make([]nraCand, 0, hint),
+		scores: make([]float64, 0, hint*n),
+		at:     make(map[uint64]int32, hint),
+	}
 	var worstHeap []float64 // the stop test's scratch, reused across tests
-	elemKey := func(e index.Element) uint64 { return uint64(e.Doc)<<32 | uint64(e.End) }
-
 	absorb := func(j int, e index.RPLEntry) {
 		high[j] = e.Score
-		key := elemKey(e.Element())
-		c, ok := cands[key]
-		if !ok {
-			c = &nraCand{elem: e.Element(), scores: make([]float64, n)}
-			cands[key] = c
-		}
-		bit := uint64(1) << uint(j)
-		if c.seen&bit == 0 {
-			c.seen |= bit
-			c.worst += e.Score
-			c.scores[j] = e.Score
-		}
+		cs.absorb(j, e)
 	}
 	for j := range iters {
 		e, ok, err := nextInSIDSet(iters[j], sidSet, stats, j)
@@ -135,7 +164,7 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 			break
 		}
 		round++
-		if round%8 != 0 {
+		if k <= 0 || round%8 != 0 {
 			continue // amortize the stop test, as TopX batches it
 		}
 		// Tighten each list's bound to its next unreturned entry's score
@@ -160,7 +189,7 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 		}
 		hs := time.Now()
 		var stop bool
-		stop, worstHeap = nraStop(cands, bounds, exhausted, k, n, stats, worstHeap[:0])
+		stop, worstHeap = nraStop(cs.cands, bounds, exhausted, k, n, stats, worstHeap[:0])
 		stats.HeapTime += time.Since(hs)
 		if stop {
 			stats.ThresholdStop = true
@@ -171,15 +200,17 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 	// Final ranking: on a clean stop every top-k candidate is resolved
 	// (exact score); on exhaustion every candidate is exact. Scores are
 	// re-summed in term order for cross-method determinism.
-	out := make([]Scored, 0, len(cands))
-	for _, c := range cands {
-		out = append(out, Scored{Elem: c.elem, Score: c.exactScore()})
+	out := make([]Scored, len(cs.cands))
+	for i := range cs.cands {
+		out[i] = Scored{Elem: cs.cands[i].elem, Score: cs.exactScore(i)}
 	}
-	hs := time.Now()
-	SortScored(out)
-	stats.HeapTime += time.Since(hs)
-	if len(out) > k {
-		out = out[:k]
+	if k > 0 {
+		hs := time.Now()
+		SortScored(out)
+		stats.HeapTime += time.Since(hs)
+		if len(out) > k {
+			out = out[:k]
+		}
 	}
 	for j := range iters {
 		stats.CursorSteps += iters[j].RowsRead
@@ -198,7 +229,7 @@ func NRACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string,
 //
 // h is the caller's scratch for the bounded heap; it is handed back, grown,
 // so one NRA run allocates it once.
-func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n int, stats *Stats, h []float64) (bool, []float64) {
+func nraStop(cands []nraCand, high []float64, exhausted []bool, k, n int, stats *Stats, h []float64) (bool, []float64) {
 	if len(cands) < k {
 		return false, h
 	}
@@ -209,7 +240,8 @@ func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n i
 		}
 	}
 	// k-th largest worst score via a bounded min-heap.
-	for _, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		if len(h) < k {
 			h = append(h, c.worst)
 			heapUp(h, len(h)-1, floatLess)
@@ -223,7 +255,8 @@ func nraStop(cands map[uint64]*nraCand, high []float64, exhausted []bool, k, n i
 	if kth <= threshold {
 		return false, h
 	}
-	for _, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		bestC := c.worst
 		resolved := true
 		for j := 0; j < n; j++ {

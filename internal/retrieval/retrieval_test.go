@@ -377,6 +377,7 @@ func TestMergeComputesAllThenTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	SortScored(all) // k <= 0 promises every answer, not an order
 	top5, stats5, err := MergeCtx(context.Background(), e.store, sids, terms, 5)
 	if err != nil {
 		t.Fatal(err)

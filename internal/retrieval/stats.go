@@ -85,9 +85,10 @@ type Stats struct {
 	ThresholdStop bool
 	// Approximate reports that the run stopped early because its
 	// context deadline expired: the results are the best-effort state at
-	// the stop point (everything scored so far, correctly ranked), not
-	// the rank-safe top k. Cancellation never sets this — a canceled run
-	// returns an error, not a partial answer.
+	// the stop point (everything scored so far — ranked when k > 0), not
+	// the rank-safe top k. Merge's are the answers of the sids it swept.
+	// Cancellation never sets this — a canceled run returns an error, not
+	// a partial answer.
 	Approximate bool
 }
 
@@ -157,9 +158,12 @@ func (s *Stats) ITATime() time.Duration {
 // 69, since the ERPL iterator decodes each block into the buffer it owns and
 // walks blocks without merging them (47-62 while every block was a fresh
 // slice and every entry re-checked a lookahead row).
-// Merge's ranking is still priced as n log n below although it now selects
-// the k best in about n comparisons: the term is what the advisor's plans
-// were calibrated on, and Merge reads every list to the end either way.
+// ERA's and Merge's ranking is priced as n log n below, a sort of every
+// answer that no longer runs: at k > 0 they select the k best in about n
+// comparisons and sort only those, and at k <= 0 they do not rank at all
+// (the engine's combine does). The term stays because the advisor's plans
+// and the planner's online calibration were fitted with it, and Merge
+// reads every list to the end either way.
 func (s *Stats) CostProxy() float64 {
 	reads := float64(s.PositionsScanned)
 	var listReads int
@@ -174,7 +178,7 @@ func (s *Stats) CostProxy() float64 {
 	}
 	cost := reads + 2*float64(s.ElementsScanned) + 8*float64(s.RandomAccesses) + 2*float64(s.HeapOps)
 	if s.HeapOps == 0 && s.Answers > 1 {
-		// Merge/ERA sort their full answer set at the end.
+		// The sort of the full answer set Merge/ERA once ended with.
 		n := float64(s.Answers)
 		logN := 1.0
 		for v := n; v > 1; v /= 2 {

@@ -18,6 +18,10 @@ import (
 // The returned stats separate the time spent managing the top-k heap
 // (Stats.HeapTime); the paper's ITA curve is Stats.ITATime().
 //
+// k <= 0 evaluates in full: TA reads its lists to the end and returns
+// every answer, in no particular order; k > 0 returns the k best in
+// SortScored order.
+//
 // ctx is polled once per sorted-access round. On an expired deadline it
 // stops at the round boundary and returns the current top-k heap with
 // Stats.Approximate set; on cancellation it returns the context's error.
@@ -25,9 +29,6 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 	start := time.Now()
 	io := st.IOStats()
 	stats := &Stats{ListReads: make([]int, len(terms)), ListTotals: make([]int, len(terms))}
-	if k <= 0 {
-		k = 1
-	}
 	n := len(terms)
 	if n == 0 || len(sids) == 0 {
 		stats.Elapsed = time.Since(start)
@@ -65,13 +66,17 @@ func TACtx(ctx context.Context, st *index.Store, sids []uint32, terms []string, 
 
 	topk := newTopKHeap(k)
 	// TA sees at least k elements before it can stop and rarely many times
-	// that, and never more than its lists hold (k is 1<<30 for a full
-	// evaluation); the set grows itself when a query reads deeper.
+	// that, and never more than its lists hold, which a full evaluation
+	// reads; the set grows itself when a query reads deeper.
 	var listTotal int
 	for _, c := range stats.ListTotals {
 		listTotal += c
 	}
-	seen := newElemSet(min(listTotal, 4*k))
+	hint := listTotal
+	if k > 0 {
+		hint = min(hint, 4*k)
+	}
+	seen := newElemSet(hint)
 	contrib := make([]float64, n)
 
 	processEntry := func(j int, e index.RPLEntry) error {
@@ -204,7 +209,9 @@ func nextInSIDSet(it *index.RPLIterator, sidSet SIDSet, stats *Stats, j int) (in
 
 // topKHeap is the min-heap of the k best elements seen so far. The paper's
 // experiments show its management cost dominating TA on some queries; ops
-// counts pushes and evictions so the cost model can expose that.
+// counts pushes and evictions so the cost model can expose that. With
+// k <= 0 it keeps every offer, unordered, and counts each as the push it
+// would be in a heap no answer set fills.
 type topKHeap struct {
 	k     int
 	items []Scored
@@ -215,7 +222,7 @@ func newTopKHeap(k int) *topKHeap {
 	return &topKHeap{k: k}
 }
 
-func (h *topKHeap) full() bool { return len(h.items) >= h.k }
+func (h *topKHeap) full() bool { return h.k > 0 && len(h.items) >= h.k }
 
 // worst returns the k-th best score (the heap minimum); call only when
 // full() is true.
@@ -224,15 +231,17 @@ func (h *topKHeap) worst() float64 { return h.items[0].Score }
 // admits reports whether offer would keep the candidate: the heap has
 // room, or the candidate beats the current k-th best.
 func (h *topKHeap) admits(s Scored) bool {
-	return len(h.items) < h.k || scoredLess(h.items[0], s)
+	return !h.full() || scoredLess(h.items[0], s)
 }
 
 // offer inserts the candidate, evicting the current minimum if the heap is
 // full and the candidate beats it.
 func (h *topKHeap) offer(s Scored) {
-	if len(h.items) < h.k {
+	if !h.full() {
 		h.items = append(h.items, s)
-		heapUp(h.items, len(h.items)-1, scoredLess)
+		if h.k > 0 {
+			heapUp(h.items, len(h.items)-1, scoredLess)
+		}
 		h.ops++
 		return
 	}
@@ -244,8 +253,11 @@ func (h *topKHeap) offer(s Scored) {
 	h.ops += 2 // one removal + one insertion, as the paper counts them
 }
 
-// sorted returns the heap contents best-first.
+// sorted returns the heap contents best-first, or as kept when k <= 0.
 func (h *topKHeap) sorted() []Scored {
+	if h.k <= 0 {
+		return h.items
+	}
 	out := make([]Scored, len(h.items))
 	copy(out, h.items)
 	SortScored(out)

@@ -685,19 +685,13 @@ func page(answers []Answer, k, offset int) []Answer {
 
 // retrieve runs the given strategy's retrieval phase.
 func (e *Engine) retrieve(ctx context.Context, m Method, sids []uint32, terms []string, sc *score.Scorer, kEval int) ([]retrieval.Scored, *retrieval.Stats, error) {
-	kTA := kEval
-	if kTA <= 0 {
-		// TA needs a concrete k; for full evaluation use a bound no
-		// answer set can exceed.
-		kTA = 1 << 30
-	}
 	switch m {
 	case MethodERA:
 		return retrieval.ExhaustiveTopKCtx(ctx, e.store, sids, terms, sc, kEval)
 	case MethodTA:
-		return retrieval.TACtx(ctx, e.store, sids, terms, sc, kTA)
+		return retrieval.TACtx(ctx, e.store, sids, terms, sc, kEval)
 	case MethodNRA:
-		return retrieval.NRACtx(ctx, e.store, sids, terms, kTA)
+		return retrieval.NRACtx(ctx, e.store, sids, terms, kEval)
 	case MethodMerge:
 		return retrieval.MergeCtx(ctx, e.store, sids, terms, kEval)
 	default:
